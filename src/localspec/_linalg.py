@@ -1,8 +1,9 @@
-"""Dense linear-algebra helpers shared across the package.
+"""Dense linear-algebra helpers and the package's tolerance table.
 
 All rank decisions in this package go through :func:`numeric_rank`, so the
 one tolerance convention (relative to the largest singular value) is applied
-uniformly to localizability tests, pseudoinverses, and regressions.
+uniformly to localizability tests, pseudoinverses, and regressions. Every
+default tolerance of the package is defined here, once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,17 @@ import numpy as np
 # truncated pseudoinverse in the package. Near-rank-deficient matrices are
 # exactly the interesting regime, so every caller also accepts an override.
 DEFAULT_RANK_TOL = 1e-10
+# Eigenvalues closer than this are treated as one root: the Vandermonde
+# regression for eigenvector components is rank-deficient below it, and the
+# Hautus test tests each merged representative once (over-merging is safe).
+DEFAULT_DISTINCT_TOL = 1e-9
+# Real parts with magnitude below this resolve to '+' in sign-pattern labels.
+DEFAULT_SIGN_TOL = 1e-9
+# Imaginary residue allowed when interpreting an estimated spectrum as real.
+DEFAULT_IMAG_TOL = 1e-8
+# Largest matched-pair distance between a spectrum and its negation that
+# still counts as bipartite.
+DEFAULT_BIPARTITE_TOL = 1e-6
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

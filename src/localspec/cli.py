@@ -17,10 +17,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import __version__, dynsys, embedding, io, localizability, spectral
+from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_IMAG_TOL, DEFAULT_RANK_TOL
 
 
 def _err(kind: str, message: str) -> int:
@@ -28,20 +27,32 @@ def _err(kind: str, message: str) -> int:
     return 1
 
 
-def _write_manifest(path, command, params, seed, inputs, outputs, started, duration):
+def _write_manifest(path, command, args, seed, inputs, outputs, started):
+    """Record the command, every parsed option, and the time since ``started``."""
     manifest = {
         "command": command,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "quiet")},
         "seed": seed,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
         "timing": {
             "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
-            "duration_seconds": duration,
+            "duration_seconds": time.time() - started,
         },
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _emit_json(args, command, payload, inputs, started):
+    """Write a JSON report to ``--out`` (with manifest) and/or stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+        _write_manifest(f"{args.out}.manifest.json", command, args, None, inputs,
+                        [args.out], started)
+    if not args.quiet or not args.out:
+        sys.stdout.write(text)
 
 
 def _parse_x0(args, n, rng_label="--x0-seed"):
@@ -59,9 +70,9 @@ def _parse_x0(args, n, rng_label="--x0-seed"):
 def _add_common(parser):
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument("--tol-rank", type=float, default=1e-10,
+    parser.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
                         help="relative singular-value cutoff for rank decisions")
-    parser.add_argument("--tol-distinct", type=float, default=1e-9,
+    parser.add_argument("--tol-distinct", type=float, default=DEFAULT_DISTINCT_TOL,
                         help="eigenvalue distinctness tolerance")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
 
@@ -95,9 +106,8 @@ def cmd_generate(args) -> int:
         io.save_system(out, dynsys.LinearSystem(a))
     else:
         raise ValueError(f"unknown generate kind {args.kind}")
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
-    _write_manifest(f"{out}.manifest.json", f"generate {args.kind}", params,
-                    args.seed, inputs, [out], started, time.time() - started)
+    _write_manifest(f"{out}.manifest.json", f"generate {args.kind}", args,
+                    args.seed, inputs, [out], started)
     if not args.quiet:
         print(f"wrote {out}")
     return 0
@@ -120,9 +130,8 @@ def cmd_simulate(args) -> int:
         x0 = _parse_x0(args, system.n)
         traj = dynsys.simulate(system, x0, args.steps)
     io.save_trajectory(out, traj.states)
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
-    _write_manifest(f"{out}.manifest.json", "simulate", params, args.x0_seed,
-                    [args.system], [out], started, time.time() - started)
+    _write_manifest(f"{out}.manifest.json", "simulate", args, args.x0_seed,
+                    [args.system], [out], started)
     if not args.quiet:
         print(f"wrote {out} ({traj.states.shape[0]} states of dimension {traj.n})")
     return 0
@@ -141,16 +150,7 @@ def cmd_localizability(args) -> int:
     payload = {"reports": [r.to_json_dict() for r in reports]}
     if everywhere is not None:
         payload["localizable_everywhere"] = everywhere
-    text = json.dumps(payload, indent=2) + "\n"
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(text)
-        outputs.append(args.out)
-        params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
-        _write_manifest(f"{args.out}.manifest.json", "localizability", params, None,
-                        [args.system], outputs, started, time.time() - started)
-    if not args.quiet or not args.out:
-        sys.stdout.write(text)
+    _emit_json(args, "localizability", payload, [args.system], started)
     return 0
 
 
@@ -172,19 +172,24 @@ def cmd_analyze(args) -> int:
         max_k=args.max_k,
         svd_tol=args.tol_rank,
         distinct_tol=args.tol_distinct,
-        imag_tol=np.inf if args.gap else spectral.DEFAULT_IMAG_TOL,
+        imag_tol=np.inf if args.gap else DEFAULT_IMAG_TOL,
     )
-    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(text)
-        outputs.append(args.out)
-        params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
-        _write_manifest(f"{args.out}.manifest.json", "analyze", params, None,
-                        [args.trajectory], outputs, started, time.time() - started)
-    if not args.quiet or not args.out:
-        sys.stdout.write(text)
+    _emit_json(args, "analyze", report.to_json_dict(), [args.trajectory], started)
     return 0
+
+
+def _analyze_all(states, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+    """Per-vertex components and spectra, each from that vertex's column alone."""
+    comps: dict[int, np.ndarray] = {}
+    spectra: dict[int, np.ndarray] = {}
+    for v in range(1, states.shape[1] + 1):
+        report = spectral.analyze_vertex(
+            states[:, v - 1], s, vertex=v, check_bipartite=False,
+            svd_tol=svd_tol, distinct_tol=distinct_tol,
+        )
+        spectra[v] = report.eigenvalues
+        comps[v] = report.vertex_components[v]
+    return comps, spectra
 
 
 def cmd_cluster(args) -> int:
@@ -192,16 +197,9 @@ def cmd_cluster(args) -> int:
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
     s = args.delays if args.delays else n
-    comps: dict[int, np.ndarray] = {}
-    spectra: dict[int, np.ndarray] = {}
-    for v in range(1, n + 1):
-        u = states[:, v - 1]
-        model = embedding.fit_companion(u, s, svd_tol=args.tol_rank)
-        eigs = spectral.local_eigenvalues(model)
-        spectra[v] = eigs
-        comps[v] = spectral.local_eigenvector_components(
-            u, eigs, svd_tol=args.tol_rank, distinct_tol=args.tol_distinct
-        )
+    comps, spectra = _analyze_all(
+        states, s, svd_tol=args.tol_rank, distinct_tol=args.tol_distinct
+    )
     if args.k == "auto":
         k = spectral.consensus_cluster_count(spectra, max_k=(s + 1) // 2)
     else:
@@ -231,9 +229,8 @@ def cmd_cluster(args) -> int:
                 row += [io.format_float(c.real), io.format_float(c.imag)]
             writer.writerow(row)
     outputs.append(comps_out)
-    params = {k_: v for k_, v in vars(args).items() if k_ not in ("func", "quiet")}
-    _write_manifest(f"{labels_out}.manifest.json", "cluster", params, None,
-                    [args.trajectory], outputs, started, time.time() - started)
+    _write_manifest(f"{labels_out}.manifest.json", "cluster", args, None,
+                    [args.trajectory], outputs, started)
     if not args.quiet:
         print(f"{k} clusters over {n} vertices -> {labels_out}")
     return 0
@@ -289,10 +286,8 @@ def _demo_fig2(seed, outdir):
         candidate = dynsys.generate_sbm(
             [5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=int(rng.integers(2**63))
         )
-        count, _ = connected_components(
-            scipy.sparse.csr_matrix(candidate != 0), directed=False
-        )
-        if count == 1:
+        graph = dynsys.dependency_graph(dynsys.LinearSystem(candidate))
+        if localizability.is_strongly_connected(graph):  # W is symmetric
             w = candidate
             break
     if w is None:
@@ -306,21 +301,12 @@ def _demo_fig2(seed, outdir):
     traj = dynsys.simulate(system, x0, FIG2_STEPS)
     io.save_trajectory(outdir / "trajectory.csv", traj.states)
 
-    comps, spectra = {}, {}
-    for v in range(1, n + 1):
-        u = traj.local(v)
-        model = embedding.fit_companion(u, n)
-        eigs = spectral.local_eigenvalues(model)
-        spectra[v] = eigs
-        comps[v] = spectral.local_eigenvector_components(u, eigs)
+    comps, spectra = _analyze_all(traj.states, n)
     k = spectral.consensus_cluster_count(spectra, max_k=(n + 1) // 2)
     labels = spectral.decentralized_cluster_labels(comps, max(k, 2))
 
     mu_true = np.sort(np.linalg.eigvalsh(lap))
-    consensus = np.mean(
-        np.vstack([np.sort(spectra[v].real)[::-1] for v in sorted(spectra)]), axis=0
-    )
-    mu_estimated = np.sort(2.0 * (1.0 - consensus))
+    mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
     with open(outdir / "laplacian_spectrum.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "mu_true", "mu_estimated"])
@@ -388,9 +374,8 @@ def cmd_demo(args) -> int:
     outdir = Path(args.outdir) if args.outdir else Path(f"demo_{args.name}")
     builder = {"fig1": _demo_fig1, "fig2": _demo_fig2, "fig3": _demo_fig3}[args.name]
     outputs = builder(args.seed, outdir)
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet")}
-    _write_manifest(outdir / "manifest.json", f"demo {args.name}", params,
-                    args.seed, [], outputs, started, time.time() - started)
+    _write_manifest(outdir / "manifest.json", f"demo {args.name}", args,
+                    args.seed, [], outputs, started)
     if not args.quiet:
         print(f"wrote demo bundle to {outdir}")
     return 0

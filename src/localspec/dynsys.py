@@ -52,6 +52,11 @@ class Trajectory:
         states = np.array(self.states, dtype=float)
         if states.ndim != 2 or states.shape[0] < 1:
             raise ValueError("trajectory needs at least one state vector")
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"trajectory states must be finite; step {int(np.argmin(finite))} is not"
+            )
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 
@@ -134,8 +139,9 @@ def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
         raise ValueError("steps must be nonnegative")
     states = np.empty((steps + 1, sys.n))
     states[0] = x0
-    for k in range(steps):
-        states[k + 1] = sys.a @ states[k]
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory rejects inf/NaN
+        for k in range(steps):
+            states[k + 1] = sys.a @ states[k]
     return Trajectory(states)
 
 
@@ -275,13 +281,14 @@ def simulate_coupled(sys: CoupledCellSystem, x0: np.ndarray, steps: int) -> Traj
         raise ValueError("steps must be nonnegative")
     states = np.empty((steps + 1, 2 * sys.d))
     states[0] = x0
-    for k in range(steps):
-        x1 = states[k, 0::2]
-        x2 = states[k, 1::2]
-        states[k + 1, 0::2] = (
-            sys.alpha * x1 + sys.beta * (x2**3 - x2) + sys.epsilon * (sys.coupling @ x1)
-        )
-        states[k + 1, 1::2] = sys.gamma * x2
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory rejects inf/NaN
+        for k in range(steps):
+            x1 = states[k, 0::2]
+            x2 = states[k, 1::2]
+            states[k + 1, 0::2] = (
+                sys.alpha * x1 + sys.beta * (x2**3 - x2) + sys.epsilon * (sys.coupling @ x1)
+            )
+            states[k + 1, 1::2] = sys.gamma * x2
     return Trajectory(states)
 
 

@@ -15,10 +15,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm, numeric_rank, truncated_pinv
 from .dynsys import LinearSystem, Trajectory
-from .localizability import permute_vertex_first
-
-# Default relative SVD truncation for all pseudoinverse-backed regressions.
-DEFAULT_SVD_TOL = 1e-10
+from .localizability import _split_blocks, r_matrix
 
 
 class NotLocalizableError(ValueError):
@@ -108,16 +105,14 @@ def hankel_matrices(data, s: int) -> DelayMatrices:
     if m + 1 < s + 1:
         raise ValueError(f"need at least s+1 = {s + 1} observations, got {m + 1}")
     p = obs.shape[1]
-    cols = m - s + 1
-    x = np.empty((s * p, cols))
-    y = np.empty((s * p, cols))
-    for block in range(s):
-        x[block * p : (block + 1) * p] = obs[block : block + cols].T
-        y[block * p : (block + 1) * p] = obs[block + 1 : block + 1 + cols].T
+    # windows[i] is the (p, m-s+1) block of observations i..i+m-s
+    windows = np.lib.stride_tricks.sliding_window_view(obs, m - s + 1, axis=0)
+    x = windows[:s].reshape(s * p, -1).copy()
+    y = windows[1:].reshape(s * p, -1).copy()
     return DelayMatrices(x=x, y=y, s=s, p=p)
 
 
-def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_SVD_TOL) -> np.ndarray:
+def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Least-squares linear propagator C = Y X^+ between shifted data matrices.
 
     The pseudoinverse truncates singular values <= svd_tol * sigma_max, so C
@@ -141,15 +136,17 @@ def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_SVD_TOL) -> np.nd
 
 
 def fit_companion(
-    u: np.ndarray, s: int, svd_tol: float = DEFAULT_SVD_TOL
+    u: np.ndarray, s: int, svd_tol: float = DEFAULT_RANK_TOL
 ) -> CompanionModel:
     """Estimate the s recurrence weights of one vertex from its scalar series.
 
     Only the bottom row of the structured companion matrix is unknown, so
     the regression has s unknowns and len(u) - s equations: row k states
-    u(k+s) = sum_j w_j u(k+j). The series is scaled to unit max-abs first so
-    decaying trajectories do not underflow the regression; the weights are
-    invariant under that scaling.
+    u(k+s) = sum_j w_j u(k+j), i.e. the design is the transposed delay
+    matrix of :func:`hankel_matrices` and the target its last shifted row.
+    The series is scaled to unit max-abs first so decaying trajectories do
+    not underflow the regression; the weights are invariant under that
+    scaling.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if s < 1:
@@ -159,13 +156,9 @@ def fit_companion(
     scale = float(np.max(np.abs(u)))
     if scale == 0.0:
         return CompanionModel(s=s, weights=np.zeros(s), residual=0.0, scale=1.0)
-    scaled = u / scale
-    rows = u.shape[0] - s
-    design = np.empty((rows, s))
-    for j in range(s):
-        design[:, j] = scaled[j : j + rows]
-    target = scaled[s : s + rows]
-    weights, _, residual = lstsq_min_norm(design, target, svd_tol)
+    delays = hankel_matrices(u / scale, s)
+    design = np.ascontiguousarray(delays.x.T)
+    weights, _, residual = lstsq_min_norm(design, delays.y[-1], svd_tol)
     return CompanionModel(s=s, weights=weights, residual=residual * scale, scale=scale)
 
 
@@ -227,16 +220,8 @@ def recover_hidden_state(
     window = np.asarray(window, dtype=float).reshape(-1)
     if window.shape[0] != n:
         raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
-    a = permute_vertex_first(sys, vertex).a
-    a11 = a[0, 0]
-    a12 = a[0, 1:]
-    a21 = a[1:, 0]
-    a22 = a[1:, 1:]
-
-    r_rows = np.empty((n - 1, n - 1))
-    r_rows[0] = a12
-    for l in range(1, n - 1):
-        r_rows[l] = r_rows[l - 1] @ a22
+    a11, _, a21, _ = _split_blocks(sys, vertex)
+    r_rows = r_matrix(sys, vertex)
     feedthrough = r_rows @ a21  # entry l is a12^T A22^l a21
 
     u, sigma, vh = np.linalg.svd(r_rows)

@@ -112,6 +112,11 @@ def save_trajectory(path, states: np.ndarray) -> None:
 
 
 def load_trajectory(path) -> np.ndarray:
+    """States of a trajectory CSV, one row per time step.
+
+    Rejects, naming the 1-based CSV line, a row whose value count differs
+    from the header's and a value that is NaN or infinite.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -120,7 +125,21 @@ def load_trajectory(path) -> np.ndarray:
         rows = [[float(v) for v in row[1:]] for row in reader]
     if not rows:
         raise ValueError("trajectory CSV holds no states")
-    return np.array(rows, dtype=float)
+    width = len(header) - 1
+    try:
+        states = np.array(rows, dtype=float)
+    except ValueError:  # ragged rows
+        states = None
+    if states is None or states.shape[1] != width:
+        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
+        raise ValueError(
+            f"trajectory CSV line {line} holds {len(row)} values, the header names {width}"
+        )
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2
+        raise ValueError(f"trajectory CSV line {line} holds a non-finite value")
+    return states
 
 
 def example1_path(which: str) -> Path:

@@ -15,12 +15,9 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from ._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
+from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL
+from ._linalg import numeric_rank, singular_values
 from .dynsys import DependencyGraph, LinearSystem
-
-# Distinct-eigenvalue tolerance for the Hautus test. Over-merging is safe:
-# the merged representative is tested, and a duplicate would only repeat it.
-DEFAULT_DISTINCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

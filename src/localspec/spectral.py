@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import lstsq_min_norm
-from .embedding import DEFAULT_SVD_TOL, CompanionModel, fit_companion
-
-# Eigenvalues closer than this are treated as one root; the Vandermonde
-# regression for eigenvector components is rank-deficient below it.
-DEFAULT_DISTINCT_TOL = 1e-9
-# Real parts with magnitude below this resolve to '+' in sign-pattern labels.
-DEFAULT_SIGN_TOL = 1e-9
-# Imaginary residue allowed when interpreting an estimated spectrum as real.
-DEFAULT_IMAG_TOL = 1e-8
+from ._linalg import (DEFAULT_BIPARTITE_TOL, DEFAULT_DISTINCT_TOL, DEFAULT_IMAG_TOL,
+                      DEFAULT_RANK_TOL, DEFAULT_SIGN_TOL, lstsq_min_norm)
+from .embedding import CompanionModel, fit_companion
 
 
 class DegenerateSpectrumError(ValueError):
@@ -122,7 +115,7 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def is_bipartite_spectrum(eigs: np.ndarray, tol: float = 1e-6) -> bool:
+def is_bipartite_spectrum(eigs: np.ndarray, tol: float = DEFAULT_BIPARTITE_TOL) -> bool:
     """True iff the eigenvalue multiset equals its own negation within ``tol``.
 
     A directed graph is bipartite exactly when its spectrum is invariant
@@ -155,7 +148,7 @@ def _conjugate_symmetrize(eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def local_eigenvector_components(
     u: np.ndarray,
     eigs: np.ndarray,
-    svd_tol: float = DEFAULT_SVD_TOL,
+    svd_tol: float = DEFAULT_RANK_TOL,
     distinct_tol: float = DEFAULT_DISTINCT_TOL,
 ) -> np.ndarray:
     """Per-mode coefficients c_l = z_l * xi_v[l] of one vertex's trajectory.
@@ -173,13 +166,13 @@ def local_eigenvector_components(
         raise ValueError(
             f"need more observations ({u.shape[0]}) than eigenvalues ({eigs.shape[0]})"
         )
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if abs(eigs[i] - eigs[j]) <= distinct_tol:
-                raise DegenerateSpectrumError(
-                    f"eigenvalues {eigs[i]} and {eigs[j]} coincide within "
-                    f"{distinct_tol:g}; the Vandermonde system is rank-deficient"
-                )
+    close = np.triu(np.abs(eigs[:, None] - eigs) <= distinct_tol, k=1)
+    if close.any():
+        i, j = np.argwhere(close)[0]  # first pair in row-major (i, j) order
+        raise DegenerateSpectrumError(
+            f"eigenvalues {eigs[i]} and {eigs[j]} coincide within "
+            f"{distinct_tol:g}; the Vandermonde system is rank-deficient"
+        )
     # Column k of the Vandermonde system is (lam_1^k, ..., lam_n^k); solving
     # its transpose against u recovers the coefficient row.
     powers = np.vander(eigs, N=u.shape[0], increasing=True)
@@ -219,17 +212,17 @@ def detect_cluster_count(
     return int(np.argmax(gaps)) + 1
 
 
-def consensus_cluster_count(
-    spectra: list[np.ndarray] | dict[int, np.ndarray], max_k: int
-) -> int:
-    """Cluster count from the averaged per-vertex spectrum estimates.
+def consensus_spectrum(
+    spectra: list[np.ndarray] | dict[int, np.ndarray]
+) -> np.ndarray:
+    """Elementwise mean of the per-vertex real parts, each sorted descending.
 
     Every vertex estimates the same global spectrum (they observe the same
-    system), so the label-aggregation step can average the sorted real parts
-    elementwise across vertices before looking for the gap; artifact modes
-    of individual fits, which scatter vertex by vertex, largely cancel.
-    Only the real parts are used: estimated spectra of real-spectrum systems
-    carry complex artifact pairs that are not data.
+    system), so averaging the sorted real parts across vertices lets
+    artifact modes of individual fits, which scatter vertex by vertex,
+    largely cancel. Only the real parts are used: estimated spectra of
+    real-spectrum systems carry complex artifact pairs that are not data.
+    A dict is averaged in vertex order.
     """
     if isinstance(spectra, dict):
         spectra = [spectra[v] for v in sorted(spectra)]
@@ -239,7 +232,14 @@ def consensus_cluster_count(
     lengths = {r.shape[0] for r in rows}
     if len(lengths) != 1:
         raise ValueError("all spectrum estimates must have equal length")
-    return detect_cluster_count(np.mean(np.vstack(rows), axis=0), max_k=max_k)
+    return np.mean(np.vstack(rows), axis=0)
+
+
+def consensus_cluster_count(
+    spectra: list[np.ndarray] | dict[int, np.ndarray], max_k: int
+) -> int:
+    """Cluster count read off the gap of the :func:`consensus_spectrum`."""
+    return detect_cluster_count(consensus_spectrum(spectra), max_k=max_k)
 
 
 def decentralized_cluster_labels(
@@ -280,11 +280,11 @@ def analyze_vertex(
     vertex: int = 1,
     *,
     check_bipartite: bool = True,
-    bipartite_tol: float = 1e-6,
+    bipartite_tol: float = DEFAULT_BIPARTITE_TOL,
     compute_components: bool = True,
     detect_clusters: bool = False,
     max_k: int | None = None,
-    svd_tol: float = DEFAULT_SVD_TOL,
+    svd_tol: float = DEFAULT_RANK_TOL,
     distinct_tol: float = DEFAULT_DISTINCT_TOL,
     imag_tol: float = DEFAULT_IMAG_TOL,
 ) -> SpectralReport:

@@ -14,6 +14,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# every file a demo writes besides its manifest
+DEMO_PAYLOADS = {
+    "fig1": ("system.json", "trajectory.csv", "eigenvalues.csv", "analysis.json"),
+    "fig2": ("adjacency.json", "system.json", "trajectory.csv",
+             "laplacian_spectrum.csv", "components.csv", "labels.json"),
+    "fig3": ("coupled_system.json", "trajectory.csv", "comparison.json"),
+}
+
+
 class TestGenerate:
     def test_sbm_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -90,6 +99,31 @@ class TestSimulate:
                    "--out", tmp_path / "t.csv", "--quiet") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflow_fails_without_writing(self, tmp_path, capsys):
+        sys_file = tmp_path / "big.json"
+        sys_file.write_text('{"n": 1, "A": [[1e200]]}')
+        out = tmp_path / "t.csv"
+        assert run("simulate", sys_file, "--steps", "3", "--x0", "1e200",
+                   "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert "step 1" in err["error"]
+        assert not out.exists()
+
+    def test_coupled_overflow_fails_without_writing(self, tmp_path, capsys):
+        sys_file = tmp_path / "coupled.json"
+        sys_file.write_text(
+            '{"kind": "coupled", "d": 1, "alpha": [0.5], "beta": [1.0], '
+            '"gamma": [2.0], "S": [[0]], "epsilon": 0.1}'
+        )
+        out = tmp_path / "t.csv"
+        assert run("simulate", sys_file, "--steps", "3", "--x0", "1.0,1e200",
+                   "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert "step 1" in err["error"]
+        assert not out.exists()
+
 
 class TestLocalizability:
     @pytest.mark.parametrize("which", ["left", "middle", "right"])
@@ -143,6 +177,18 @@ class TestAnalyze:
         assert run("analyze", traj, "--vertex", "2", "--gap", "--out", out, "--quiet") == 0
         assert json.loads(out.read_text())["cluster_count"] == 2
 
+    @pytest.mark.parametrize(
+        "content", ["k,x1\n0,1.0\n1,nan\n", "k,x1,x2\n0,1.0,2.0\n1,3.0\n"],
+        ids=["nan", "ragged"],
+    )
+    def test_bad_trajectory_fails_naming_the_line(self, tmp_path, capsys, content):
+        traj = tmp_path / "bad.csv"
+        traj.write_text(content)
+        assert run("analyze", traj, "--vertex", "1", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert "line 3" in err["error"]
+
 
 class TestCluster:
     def _bridged_cliques_trajectory(self, tmp_path):
@@ -174,6 +220,19 @@ class TestCluster:
         comps = (tmp_path / "labels_components.csv").read_text().splitlines()
         assert comps[0].startswith("vertex,c1_re,c1_im")
         assert len(comps) == 7
+
+    def test_components_match_single_vertex_analysis(self, tmp_path):
+        traj = self._bridged_cliques_trajectory(tmp_path)
+        out = tmp_path / "labels.json"
+        assert run("cluster", traj, "--k", "2", "--out", out, "--quiet") == 0
+        rows = (tmp_path / "labels_components.csv").read_text().splitlines()[1:]
+        for v, row in enumerate(rows, start=1):
+            rep = tmp_path / f"rep{v}.json"
+            assert run("analyze", traj, "--vertex", v, "--out", rep, "--quiet") == 0
+            comps = json.loads(rep.read_text())["vertex_components"][str(v)]
+            values = [float(x) for x in row.split(",")[1:]]
+            assert row.split(",")[0] == str(v)
+            assert values == [part for c in comps for part in (c["re"], c["im"])]
 
     def test_forced_single_cluster(self, tmp_path):
         traj = self._bridged_cliques_trajectory(tmp_path)
@@ -227,11 +286,12 @@ class TestDemos:
         sys = load_system(outdir / "coupled_system.json")
         assert sys.epsilon == 0.1
 
-    def test_demo_payloads_byte_identical_across_runs(self, tmp_path):
+    @pytest.mark.parametrize("fig", sorted(DEMO_PAYLOADS))
+    def test_demo_payloads_byte_identical_across_runs(self, tmp_path, fig):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert run("demo", "fig1", "--seed", "5", "--outdir", d1, "--quiet") == 0
-        assert run("demo", "fig1", "--seed", "5", "--outdir", d2, "--quiet") == 0
-        for name in ("system.json", "trajectory.csv", "eigenvalues.csv", "analysis.json"):
+        assert run("demo", fig, "--seed", "5", "--outdir", d1, "--quiet") == 0
+        assert run("demo", fig, "--seed", "5", "--outdir", d2, "--quiet") == 0
+        for name in DEMO_PAYLOADS[fig]:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         # manifests may differ only in the timing field
         m1 = json.loads((d1 / "manifest.json").read_text())

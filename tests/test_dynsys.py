@@ -10,6 +10,7 @@ from localspec import (
     CoupledCellSystem,
     GenerationError,
     LinearSystem,
+    Trajectory,
     bipartite_fixture,
     build_wave_system,
     coupled_cell_fixture,
@@ -65,6 +66,19 @@ class TestSimulate:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             simulate(LinearSystem(np.eye(3)), [1.0, 2.0], 1)
+
+    def test_overflow_rejected_at_first_infinite_step(self):
+        # 1e200 * 1e200 overflows at step 1
+        with pytest.raises(ValueError, match="step 1 is not"):
+            simulate(LinearSystem([[1e200]]), [1e200], 3)
+
+    def test_coupled_overflow_rejected(self):
+        sys = CoupledCellSystem(
+            alpha=[0.5], beta=[1.0], gamma=[2.0], coupling=[[0.0]], epsilon=0.1
+        )
+        # x2**3 overflows in the first update of x1
+        with pytest.raises(ValueError, match="step 1 is not"):
+            simulate_coupled(sys, [1.0, 1e200], 3)
 
 
 class TestSimulateLocal:
@@ -368,6 +382,14 @@ class TestValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LinearSystem([[np.nan]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trajectory_rejects_nonfinite_naming_the_step(self, bad):
+        states = np.ones((4, 2))
+        states[2, 1] = bad
+        states[3, 0] = bad
+        with pytest.raises(ValueError, match="step 2 is not"):
+            Trajectory(states)
 
     def test_coupling_diagonal_must_be_zero(self):
         with pytest.raises(ValueError):

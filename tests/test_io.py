@@ -118,3 +118,23 @@ class TestTrajectoryCsv:
         path.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("row", ["2,5.0", "2,5.0,6.0,7.0", ""])
+    def test_ragged_row_rejected_naming_the_line(self, tmp_path, row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,4.0\n{row}\n3,7.0,8.0\n")
+        with pytest.raises(ValueError, match="line 4 holds"):
+            load_trajectory(path)
+
+    def test_rows_all_narrower_than_header_rejected(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("k,x1,x2,x3\n0,1.0,2.0\n1,3.0,4.0\n")
+        with pytest.raises(ValueError, match="line 2 holds 2 values, the header names 3"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_naming_the_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,{value}\n2,{value},6.0\n")
+        with pytest.raises(ValueError, match="line 3 holds a non-finite value"):
+            load_trajectory(path)

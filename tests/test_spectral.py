@@ -165,6 +165,13 @@ class TestEigenvectorComponents:
         with pytest.raises(DegenerateSpectrumError):
             local_eigenvector_components(np.ones(5), np.array([0.5, 0.5 + 1e-12]))
 
+    def test_first_coinciding_pair_reported_in_row_order(self):
+        # pairs (0, 3) and (1, 2) both coincide; (0, 3) comes first
+        eigs = np.array([0.9, 0.5, 0.5 + 1e-12, 0.9 + 1e-12])
+        with pytest.raises(DegenerateSpectrumError) as info:
+            local_eigenvector_components(np.ones(8), eigs)
+        assert str(info.value).startswith(f"eigenvalues {eigs[0] + 0j} and {eigs[3] + 0j} ")
+
     def test_mode_reconstruction(self):
         # sum_l c_l lam_l^k reproduces the observed window
         for seed in range(10):
