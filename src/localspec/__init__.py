@@ -31,7 +31,6 @@ from .dynsys import (
 )
 from .embedding import (
     CompanionModel,
-    DelayMatrices,
     NotLocalizableError,
     dmd,
     exact_companion,
@@ -70,7 +69,6 @@ __all__ = [
     "CompanionModel",
     "CoupledCellSystem",
     "DegenerateSpectrumError",
-    "DelayMatrices",
     "DependencyGraph",
     "GenerationError",
     "LinearSystem",

@@ -2,8 +2,8 @@
 
 All rank decisions in this package go through :func:`numeric_rank`, so the
 one tolerance convention (relative to the largest singular value) is applied
-uniformly to localizability tests, pseudoinverses, and regressions. Every
-default tolerance of the package is defined here, once.
+uniformly to localizability tests and least-squares solves. Every default
+tolerance of the package is defined here, once.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 # Relative singular-value cutoff used by default for every rank decision and
-# truncated pseudoinverse in the package. Near-rank-deficient matrices are
+# least-squares solve in the package. Near-rank-deficient matrices are
 # exactly the interesting regime, so every caller also accepts an override.
 DEFAULT_RANK_TOL = 1e-10
 # Eigenvalues closer than this are treated as one root: the Vandermonde
@@ -44,33 +44,23 @@ def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def truncated_pinv(matrix: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
-    """Moore-Penrose pseudoinverse discarding singular values <= rel_tol * sigma_max.
-
-    Returns ``(pinv, rank)``; the pinv of an all-zero matrix is the zero matrix.
-    """
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    rank = numeric_rank(s, rel_tol)
-    if rank == 0:
-        return np.zeros((matrix.shape[1], matrix.shape[0]), dtype=matrix.dtype), 0
-    return (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T, rank
-
-
 def lstsq_min_norm(
     a: np.ndarray, b: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, int, float]:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
 
-    Works for real and complex data. Returns ``(x, rank, residual_norm)``
-    where ``residual_norm = ||a @ x - b||_2``.
+    ``b`` is a vector or a matrix with one right-hand side per column. Works
+    for real and complex data. Returns ``(x, rank, residual_norm)`` where
+    ``residual_norm = ||a @ x - b||`` (2-norm, or Frobenius for a matrix).
     """
     a = np.asarray(a)
     b = np.asarray(b)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
     if rank == 0:
-        x = np.zeros(a.shape[1], dtype=np.result_type(a, b))
+        x = np.zeros(a.shape[1:] + b.shape[1:], dtype=np.result_type(a, b))
     else:
-        x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
+        # the transposes divide row i of U^H b by s_i for a matrix b too
+        x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b).T / s[:rank]).T
     residual = float(np.linalg.norm(a @ x - b))
     return x, rank, residual

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynsys, embedding, io, localizability, spectral
-from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_IMAG_TOL, DEFAULT_RANK_TOL
+from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL
 
 
 def _err(kind: str, message: str) -> int:
@@ -55,25 +56,33 @@ def _emit_json(args, command, payload, inputs, started):
         sys.stdout.write(text)
 
 
-def _parse_x0(args, n, rng_label="--x0-seed"):
+def _parse_x0(args, n):
     if args.x0 is not None:
         values = np.array([float(v) for v in args.x0.split(",")], dtype=float)
     elif args.x0_seed is not None:
         values = np.random.default_rng(args.x0_seed).standard_normal(n)
     else:
-        raise ValueError(f"provide --x0 or {rng_label}")
+        raise ValueError("provide --x0 or --x0-seed")
     if values.shape[0] != n:
         raise ValueError(f"x0 has dimension {values.shape[0]}, system needs {n}")
     return values
 
 
-def _add_common(parser):
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
-                        help="relative singular-value cutoff for rank decisions")
-    parser.add_argument("--tol-distinct", type=float, default=DEFAULT_DISTINCT_TOL,
-                        help="eigenvalue distinctness tolerance")
+# Options shared by several commands; each command registers those it reads.
+_SHARED_OPTIONS = {
+    "--out": dict(help="output file path"),
+    "--seed": dict(type=int, default=0, help="generator seed"),
+    "--tol-rank": dict(type=float, default=DEFAULT_RANK_TOL,
+                       help="relative singular-value cutoff for rank decisions"),
+    "--tol-distinct": dict(type=float, default=DEFAULT_DISTINCT_TOL,
+                           help="eigenvalue distinctness tolerance"),
+}
+
+
+def _add_shared(parser, *flags):
+    """Register the named shared options, then ``--quiet``, which all commands read."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
     parser.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
 
 
@@ -172,7 +181,6 @@ def cmd_analyze(args) -> int:
         max_k=args.max_k,
         svd_tol=args.tol_rank,
         distinct_tol=args.tol_distinct,
-        imag_tol=np.inf if args.gap else DEFAULT_IMAG_TOL,
     )
     _emit_json(args, "analyze", report.to_json_dict(), [args.trajectory], started)
     return 0
@@ -388,8 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "from single-vertex trajectories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: an option a command lacks (demo --out) is an error,
+    # not an abbreviation of one it has (demo --outdir)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate", help="write a system or adjacency file")
+    p = add_command("generate", help="write a system or adjacency file")
     p.add_argument("kind", choices=["sbm", "bipartite", "coupled", "wave", "random"])
     p.add_argument("--sizes", default="5,5,5", help="sbm cluster sizes, comma-separated")
     p.add_argument("--intra-p", type=float, default=0.7)
@@ -399,28 +410,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjacency", help="adjacency JSON consumed by kind=wave")
     p.add_argument("--wave-speed", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=6, help="dimension for kind=random")
-    _add_common(p)
+    _add_shared(p, "--out", "--seed")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="simulate a system file to a trajectory CSV")
+    p = add_command("simulate", help="simulate a system file to a trajectory CSV")
     p.add_argument("system")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--x0-seed", type=int, help="draw x0 from a seeded standard normal")
     p.add_argument("--lift", action="store_true",
                    help="simulate the Koopman-lifted linear system of a coupled file")
-    _add_common(p)
+    _add_shared(p, "--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("localizability", help="rank-of-R localizability reports")
+    p = add_command("localizability", help="rank-of-R localizability reports")
     p.add_argument("system")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--vertex", type=int)
-    group.add_argument("--all", action="store_true")
-    _add_common(p)
+    group.add_argument("--all", action="store_true",
+                       help="test every vertex (also the default without --vertex)")
+    _add_shared(p, "--out", "--tol-rank")
     p.set_defaults(func=cmd_localizability)
 
-    p = sub.add_parser("analyze", help="spectral report from one vertex's trajectory")
+    p = add_command("analyze", help="spectral report from one vertex's trajectory")
     p.add_argument("trajectory")
     p.add_argument("--vertex", type=int, default=1)
     p.add_argument("--delays", type=int, help="embedding length (default: state dimension)")
@@ -428,21 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-components", action="store_true")
     p.add_argument("--gap", action="store_true", help="detect cluster count from spectral gaps")
     p.add_argument("--max-k", type=int)
-    _add_common(p)
+    _add_shared(p, "--out", "--tol-rank", "--tol-distinct")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("cluster", help="decentralized sign-pattern clustering")
+    p = add_command("cluster", help="decentralized sign-pattern clustering")
     p.add_argument("trajectory")
     p.add_argument("--k", default="auto", help="cluster count, or 'auto' for gap detection")
     p.add_argument("--delays", type=int)
     p.add_argument("--components-out", help="per-vertex component CSV path")
-    _add_common(p)
+    _add_shared(p, "--out", "--tol-rank", "--tol-distinct")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("demo", help="figure-reproduction data bundles")
+    p = add_command("demo", help="figure-reproduction data bundles")
     p.add_argument("name", choices=["fig1", "fig2", "fig3"])
     p.add_argument("--outdir")
-    _add_common(p)
+    _add_shared(p, "--seed")
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm, numeric_rank, truncated_pinv
+from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm
 from .dynsys import LinearSystem, Trajectory
-from .localizability import _split_blocks, r_matrix
+from .localizability import _split_blocks, is_localizable
 
 
 class NotLocalizableError(ValueError):
@@ -24,21 +24,6 @@ class NotLocalizableError(ValueError):
     def __init__(self, message: str, singular_values: np.ndarray):
         super().__init__(message)
         self.singular_values = singular_values
-
-
-@dataclass(frozen=True)
-class DelayMatrices:
-    """Augmented (Hankel-structured) data pair built from one trajectory.
-
-    Column j of ``x`` stacks the observations at times j..j+s-1; ``y`` is the
-    same stack shifted one step. Rows p.. of ``x`` therefore repeat rows
-    ..(s-1)p of ``y``.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    s: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -92,11 +77,14 @@ def _observations(data) -> np.ndarray:
     raise ValueError("trajectory data must be 1- or 2-dimensional")
 
 
-def hankel_matrices(data, s: int) -> DelayMatrices:
-    """Delay-embedded data pair with s stacked observations per column.
+def hankel_matrices(data, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-embedded (Hankel-structured) data pair ``(x, y)``.
 
-    Accepts a scalar series, a (steps, p) array, or a :class:`Trajectory`;
-    a series of m+1 observations yields m - s + 1 columns.
+    Accepts a scalar series, a (steps, p) array, or a :class:`Trajectory`.
+    Column j of ``x`` stacks the p-vectors observed at times j..j+s-1, and
+    ``y`` is the same stack shifted one step, so rows p.. of ``x`` repeat
+    rows ..(s-1)p of ``y``. A series of m+1 observations yields m - s + 1
+    columns.
     """
     obs = _observations(data)
     if s < 1:
@@ -109,22 +97,22 @@ def hankel_matrices(data, s: int) -> DelayMatrices:
     windows = np.lib.stride_tricks.sliding_window_view(obs, m - s + 1, axis=0)
     x = windows[:s].reshape(s * p, -1).copy()
     y = windows[1:].reshape(s * p, -1).copy()
-    return DelayMatrices(x=x, y=y, s=s, p=p)
+    return x, y
 
 
 def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Least-squares linear propagator C = Y X^+ between shifted data matrices.
 
-    The pseudoinverse truncates singular values <= svd_tol * sigma_max, so C
-    is the minimum-norm minimizer of the Frobenius residual ||C X - Y||_F.
-    Rank deficiency of X (including an all-zero X, which yields C = 0) is
-    reported through a RankWarning.
+    Solves X^T C^T = Y^T by least squares, truncating singular values
+    <= svd_tol * sigma_max, so C is the minimum-norm minimizer of the
+    Frobenius residual ||C X - Y||_F. Rank deficiency of X (including an
+    all-zero X, which yields C = 0) is reported through a RankWarning.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
-    pinv, rank = truncated_pinv(x, svd_tol)
+    c_t, rank, _ = lstsq_min_norm(x.T, y.T, svd_tol)
     if rank < min(x.shape):
         warnings.warn(
             f"data matrix has numeric rank {rank} < {min(x.shape)}; "
@@ -132,7 +120,7 @@ def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_RANK_TOL) -> np.n
             np.exceptions.RankWarning,
             stacklevel=2,
         )
-    return y @ pinv
+    return c_t.T
 
 
 def fit_companion(
@@ -156,30 +144,19 @@ def fit_companion(
     scale = float(np.max(np.abs(u)))
     if scale == 0.0:
         return CompanionModel(s=s, weights=np.zeros(s), residual=0.0, scale=1.0)
-    delays = hankel_matrices(u / scale, s)
-    design = np.ascontiguousarray(delays.x.T)
-    weights, _, residual = lstsq_min_norm(design, delays.y[-1], svd_tol)
+    x, y = hankel_matrices(u / scale, s)
+    weights, _, residual = lstsq_min_norm(np.ascontiguousarray(x.T), y[-1], svd_tol)
     return CompanionModel(s=s, weights=weights, residual=residual * scale, scale=scale)
 
 
 def exact_companion(sys: LinearSystem) -> CompanionModel:
     """Companion weights w_i = -alpha_i from the characteristic polynomial of A.
 
-    The coefficients come from the Faddeev-LeVerrier recurrence, which is
-    exact in exact arithmetic; tests cross-check against the expanded
-    product of the computed eigenvalues.
+    ``np.poly`` expands the product of A's computed eigenvalues, which stays
+    accurate at sizes where trace recurrences such as Faddeev-LeVerrier lose
+    most of their digits.
     """
-    n = sys.n
-    a = sys.a
-    # Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k, M_{k+1} = A M_k + c_{n-k} I.
-    coeffs = np.empty(n + 1)
-    coeffs[n] = 1.0
-    m = np.eye(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        coeffs[n - k] = -np.trace(am) / k
-        m = am + coeffs[n - k] * np.eye(n)
-    return CompanionModel(s=n, weights=-coeffs[:n], residual=0.0, scale=1.0)
+    return CompanionModel(s=sys.n, weights=-np.poly(sys.a)[1:][::-1], residual=0.0)
 
 
 def predict(model: CompanionModel, window: np.ndarray, steps: int) -> np.ndarray:
@@ -211,7 +188,8 @@ def recover_hidden_state(
     contributions that reach the observed vertex through its own past:
     b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
     The returned components keep the original vertex order with ``vertex``
-    removed. Raises :class:`NotLocalizableError` when R is numerically
+    removed. Raises :class:`NotLocalizableError` when
+    :func:`~localspec.localizability.is_localizable` finds R numerically
     singular at ``rel_tol``.
     """
     n = sys.n
@@ -220,18 +198,15 @@ def recover_hidden_state(
     window = np.asarray(window, dtype=float).reshape(-1)
     if window.shape[0] != n:
         raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
-    a11, _, a21, _ = _split_blocks(sys, vertex)
-    r_rows = r_matrix(sys, vertex)
-    feedthrough = r_rows @ a21  # entry l is a12^T A22^l a21
-
-    u, sigma, vh = np.linalg.svd(r_rows)
-    rank = numeric_rank(sigma, rel_tol)
-    if rank < n - 1:
+    report = is_localizable(sys, vertex, rel_tol)
+    if not report.localizable:
         raise NotLocalizableError(
             f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
-            f"(numeric rank {rank} of {n - 1})",
-            singular_values=sigma,
+            f"(numeric rank {report.numeric_rank} of {n - 1})",
+            singular_values=report.singular_values,
         )
+    a11, _, a21, _ = _split_blocks(sys, vertex)
+    feedthrough = report.r_matrix @ a21  # entry l is a12^T A22^l a21
 
     b = np.empty(n - 1)
     for r in range(1, n):
@@ -239,4 +214,4 @@ def recover_hidden_state(
         for l in range(r - 1):
             acc -= feedthrough[l] * window[r - 2 - l]
         b[r - 1] = acc
-    return vh.T @ ((u.T @ b) / sigma)
+    return lstsq_min_norm(report.r_matrix, b, rel_tol)[0]

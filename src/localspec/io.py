@@ -115,14 +115,20 @@ def load_trajectory(path) -> np.ndarray:
     """States of a trajectory CSV, one row per time step.
 
     Rejects, naming the 1-based CSV line, a row whose value count differs
-    from the header's and a value that is NaN or infinite.
+    from the header's and a value that is not a number, NaN or infinite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if not header or header[0] != "k":
             raise ValueError("trajectory CSV must start with a 'k,x1,...' header")
-        rows = [[float(v) for v in row[1:]] for row in reader]
+        try:
+            rows = [[float(v) for v in row[1:]] for row in reader]
+        except ValueError as exc:  # float() names the value, the reader the line
+            raise ValueError(
+                f"trajectory CSV line {reader.line_num} holds a value that is not a "
+                f"number ({exc})"
+            ) from None
     if not rows:
         raise ValueError("trajectory CSV holds no states")
     width = len(header) - 1

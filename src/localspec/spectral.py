@@ -242,18 +242,14 @@ def consensus_cluster_count(
     return detect_cluster_count(consensus_spectrum(spectra), max_k=max_k)
 
 
-def decentralized_cluster_labels(
-    components: dict[int, np.ndarray],
-    k: int,
-    sign_tol: float = DEFAULT_SIGN_TOL,
-) -> dict[int, int]:
+def decentralized_cluster_labels(components: dict[int, np.ndarray], k: int) -> dict[int, int]:
     """Cluster ids from the sign patterns of eigenvector components 2..k.
 
     Each vertex looks only at its own component list: the signs of the real
     parts of entries 2..k form a (k-1)-bit pattern, and equal patterns mean
-    same cluster. Magnitudes within ``sign_tol`` of zero resolve to '+'.
-    Ids are canonicalized to 0..#patterns-1 by first appearance in vertex
-    order.
+    same cluster. Magnitudes within ``DEFAULT_SIGN_TOL`` of zero resolve to
+    '+'. Ids are canonicalized to 0..#patterns-1 by first appearance in
+    vertex order.
     """
     if k < 2:
         raise ValueError("sign-pattern clustering needs k >= 2")
@@ -263,7 +259,7 @@ def decentralized_cluster_labels(
         if comp.shape[0] < k:
             raise ValueError(f"vertex {vertex} supplies {comp.shape[0]} < k = {k} components")
         reals = comp[1:k].real
-        patterns[vertex] = tuple(bool(r >= -sign_tol) for r in reals)
+        patterns[vertex] = tuple(bool(r >= -DEFAULT_SIGN_TOL) for r in reals)
     ids: dict[tuple[bool, ...], int] = {}
     labels: dict[int, int] = {}
     for vertex in sorted(patterns):
@@ -280,24 +276,23 @@ def analyze_vertex(
     vertex: int = 1,
     *,
     check_bipartite: bool = True,
-    bipartite_tol: float = DEFAULT_BIPARTITE_TOL,
     compute_components: bool = True,
     detect_clusters: bool = False,
     max_k: int | None = None,
     svd_tol: float = DEFAULT_RANK_TOL,
     distinct_tol: float = DEFAULT_DISTINCT_TOL,
-    imag_tol: float = DEFAULT_IMAG_TOL,
 ) -> SpectralReport:
     """Full local pipeline: fit, eigenvalues, components, and derived flags.
 
     ``vertex`` only keys the component map; the analysis itself never sees
     any other vertex's data. Cluster detection is opt-in because it presumes
-    a real (Laplacian-driven) spectrum.
+    a real (Laplacian-driven) spectrum; it reads the gap of the real parts,
+    as :func:`consensus_cluster_count` does for one spectrum.
     """
     model = fit_companion(u, s, svd_tol)
     eigs = local_eigenvalues(model)
     trace, det = trace_det(model)
-    bipartite = is_bipartite_spectrum(eigs, bipartite_tol) if check_bipartite else None
+    bipartite = is_bipartite_spectrum(eigs) if check_bipartite else None
     components: dict[int, np.ndarray] = {}
     if compute_components:
         components[vertex] = local_eigenvector_components(
@@ -306,7 +301,7 @@ def analyze_vertex(
     cluster_count = None
     if detect_clusters:
         k_cap = max_k if max_k is not None else (s + 1) // 2
-        cluster_count = detect_cluster_count(eigs, max_k=k_cap, imag_tol=imag_tol)
+        cluster_count = detect_cluster_count(eigs.real, max_k=k_cap)
     return SpectralReport(
         eigenvalues=eigs,
         vertex_components=components,

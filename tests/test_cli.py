@@ -23,6 +23,70 @@ DEMO_PAYLOADS = {
 }
 
 
+class TestOptionSurface:
+    """Each command registers exactly the options it reads."""
+
+    def _parameters(self, manifest_path):
+        return set(json.loads(manifest_path.read_text())["parameters"])
+
+    def test_manifest_parameters_per_command(self, tmp_path):
+        sys_file, traj = tmp_path / "bip.json", tmp_path / "t.csv"
+        assert run("generate", "bipartite", "--out", sys_file, "--quiet") == 0
+        assert self._parameters(tmp_path / "bip.json.manifest.json") == {
+            "command", "kind", "sizes", "intra_p", "inter_p", "intra_weight",
+            "inter_weight", "adjacency", "wave_speed", "dim", "out", "seed",
+        }
+        assert run("simulate", sys_file, "--steps", "24", "--x0-seed", "7",
+                   "--out", traj, "--quiet") == 0
+        assert self._parameters(tmp_path / "t.csv.manifest.json") == {
+            "command", "system", "steps", "x0", "x0_seed", "lift", "out",
+        }
+        rep = tmp_path / "loc.json"
+        assert run("localizability", sys_file, "--all", "--out", rep, "--quiet") == 0
+        assert self._parameters(tmp_path / "loc.json.manifest.json") == {
+            "command", "system", "vertex", "all", "out", "tol_rank",
+        }
+        rep = tmp_path / "rep.json"
+        assert run("analyze", traj, "--vertex", "1", "--out", rep, "--quiet") == 0
+        assert self._parameters(tmp_path / "rep.json.manifest.json") == {
+            "command", "trajectory", "vertex", "delays", "no_bipartite", "no_components",
+            "gap", "max_k", "out", "tol_rank", "tol_distinct",
+        }
+        labels = tmp_path / "labels.json"
+        assert run("cluster", traj, "--k", "2", "--out", labels, "--quiet") == 0
+        assert self._parameters(tmp_path / "labels.json.manifest.json") == {
+            "command", "trajectory", "k", "delays", "components_out", "out",
+            "tol_rank", "tol_distinct",
+        }
+        outdir = tmp_path / "fig1"
+        assert run("demo", "fig1", "--outdir", outdir, "--quiet") == 0
+        assert self._parameters(outdir / "manifest.json") == {
+            "command", "name", "outdir", "seed",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "random", "--tol-rank", "1e-8"),
+        ("generate", "random", "--tol-distinct", "1e-8"),
+        ("simulate", "s.json", "--steps", "3", "--seed", "3"),
+        ("simulate", "s.json", "--steps", "3", "--tol-rank", "1e-8"),
+        ("simulate", "s.json", "--steps", "3", "--tol-distinct", "1e-8"),
+        ("localizability", "s.json", "--seed", "3"),
+        ("localizability", "s.json", "--tol-distinct", "1e-8"),
+        ("analyze", "t.csv", "--seed", "3"),
+        ("cluster", "t.csv", "--seed", "3"),
+        ("demo", "fig1", "--out", "x"),
+        ("demo", "fig1", "--tol-rank", "1e-8"),
+        ("demo", "fig1", "--tol-distinct", "1e-8"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_option_rejected_by_argparse(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestGenerate:
     def test_sbm_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -37,7 +101,7 @@ class TestGenerate:
         assert sys.n == 6
         manifest = json.loads((tmp_path / "bip.json.manifest.json").read_text())
         assert manifest["command"] == "generate bipartite"
-        assert "tol_rank" in manifest["parameters"]
+        assert "seed" in manifest["parameters"]
         assert "duration_seconds" in manifest["timing"]
 
     def test_coupled_records_epsilon(self, tmp_path):

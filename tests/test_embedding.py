@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import growth_normalized_error, random_localizable_system, random_system
 from localspec import (
@@ -12,6 +13,7 @@ from localspec import (
     exact_companion,
     fit_companion,
     hankel_matrices,
+    local_eigenvalues,
     permute_vertex_first,
     predict,
     recover_hidden_state,
@@ -23,32 +25,31 @@ from localspec.io import example1_system
 
 class TestHankelMatrices:
     def test_scalar_unrolling(self):
-        dm = hankel_matrices(np.array([1.0, 2.0, 3.0, 4.0]), s=2)
-        assert np.array_equal(dm.x, [[1.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(dm.y, [[2.0, 3.0], [3.0, 4.0]])
-        assert dm.s == 2 and dm.p == 1
+        x, y = hankel_matrices(np.array([1.0, 2.0, 3.0, 4.0]), s=2)
+        assert np.array_equal(x, [[1.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(y, [[2.0, 3.0], [3.0, 4.0]])
 
     def test_single_delay_reduces_to_plain_pair(self):
         data = np.arange(5.0)
-        dm = hankel_matrices(data, s=1)
-        assert np.array_equal(dm.x[0], data[:-1])
-        assert np.array_equal(dm.y[0], data[1:])
+        x, y = hankel_matrices(data, s=1)
+        assert np.array_equal(x[0], data[:-1])
+        assert np.array_equal(y[0], data[1:])
 
     def test_shifted_block_identity(self):
         rng = np.random.default_rng(0)
         for s in (1, 2, 3, 5):
             series = rng.standard_normal(12)
-            dm = hankel_matrices(series, s)
-            assert np.array_equal(dm.x[dm.p :], dm.y[: (dm.s - 1) * dm.p])
+            x, y = hankel_matrices(series, s)
+            assert np.array_equal(x[1:], y[: s - 1])
 
     def test_vector_observations(self):
         rng = np.random.default_rng(1)
         traj = Trajectory(rng.standard_normal((9, 3)))
-        dm = hankel_matrices(traj, s=3)
-        assert dm.p == 3 and dm.x.shape == (9, 6)
-        assert np.array_equal(dm.x[3:], dm.y[:6])
-        assert np.array_equal(dm.x[:3, 0], traj.states[0])
-        assert np.array_equal(dm.y[6:, -1], traj.states[-1])
+        x, y = hankel_matrices(traj, s=3)
+        assert x.shape == y.shape == (9, 6)
+        assert np.array_equal(x[3:], y[:6])
+        assert np.array_equal(x[:3, 0], traj.states[0])
+        assert np.array_equal(y[6:, -1], traj.states[-1])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -70,9 +71,9 @@ class TestDmd:
         sys = random_system(2, n=4)
         x0 = np.random.default_rng(3).standard_normal(4)
         traj = simulate(sys, x0, 12)
-        dm = hankel_matrices(traj, s=1)
-        c = dmd(dm.x, dm.y)
-        assert np.linalg.norm(c @ dm.x - dm.y) <= 1e-8
+        x, y = hankel_matrices(traj, s=1)
+        c = dmd(x, y)
+        assert np.linalg.norm(c @ x - y) <= 1e-8
 
     def test_zero_data_warns_and_returns_zero(self):
         x = np.zeros((3, 5))
@@ -154,6 +155,16 @@ class TestExactCompanion:
             coeffs = np.real(np.poly(np.linalg.eigvals(sys.a)))
             oracle = -coeffs[1:][::-1]
             assert np.allclose(exact_companion(sys).weights, oracle, atol=1e-9)
+
+    def test_roots_accurate_at_n60(self):
+        # dense radius-1 systems: the companion roots must reproduce eig(A)
+        for seed in range(5):
+            sys = random_system(seed, n=60)
+            roots = local_eigenvalues(exact_companion(sys))
+            direct = np.linalg.eigvals(sys.a)
+            dist = np.abs(roots[:, None] - direct[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert np.max(dist[rows, cols]) <= 1e-6
 
 
 class TestPredict:

@@ -132,9 +132,14 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="line 2 holds 2 values, the header names 3"):
             load_trajectory(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected_naming_the_line(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, what",
+        [("nan", "a non-finite value"), ("inf", "a non-finite value"),
+         ("-inf", "a non-finite value"), ("abc", "a value that is not a number .*'abc'")],
+        ids=["nan", "inf", "-inf", "abc"],
+    )
+    def test_non_finite_value_rejected_naming_the_line(self, tmp_path, value, what):
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,{value}\n2,{value},6.0\n")
-        with pytest.raises(ValueError, match="line 3 holds a non-finite value"):
+        with pytest.raises(ValueError, match=f"line 3 holds {what}"):
             load_trajectory(path)
