@@ -57,10 +57,8 @@ def lstsq_min_norm(
     b = np.asarray(b)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
-    if rank == 0:
-        x = np.zeros(a.shape[1:] + b.shape[1:], dtype=np.result_type(a, b))
-    else:
-        # the transposes divide row i of U^H b by s_i for a matrix b too
-        x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b).T / s[:rank]).T
+    # the transposes divide row i of U^H b by s_i for a matrix b too; at rank
+    # 0 the empty products give the zero solution
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b).T / s[:rank]).T
     residual = float(np.linalg.norm(a @ x - b))
     return x, rank, residual

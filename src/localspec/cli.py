@@ -9,7 +9,6 @@ the same seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -42,18 +41,17 @@ def _write_manifest(path, command, args, seed, inputs, outputs, started):
             "duration_seconds": time.time() - started,
         },
     }
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+    io.write_json(path, manifest)
 
 
 def _emit_json(args, command, payload, inputs, started):
     """Write a JSON report to ``--out`` (with manifest) and/or stdout."""
-    text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        io.write_json(args.out, payload)
         _write_manifest(f"{args.out}.manifest.json", command, args, None, inputs,
                         [args.out], started)
     if not args.quiet or not args.out:
-        sys.stdout.write(text)
+        sys.stdout.write(io.json_text(payload))
 
 
 def _parse_x0(args, n):
@@ -108,13 +106,11 @@ def cmd_generate(args) -> int:
         w = io.load_adjacency(args.adjacency)
         lap = dynsys.normalized_laplacian(w)
         io.save_system(out, dynsys.build_wave_system(lap, args.wave_speed))
-    elif args.kind == "random":
+    else:  # random; argparse admits no other kind
         rng = np.random.default_rng(args.seed)
         a = rng.standard_normal((args.dim, args.dim))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
         io.save_system(out, dynsys.LinearSystem(a))
-    else:
-        raise ValueError(f"unknown generate kind {args.kind}")
     _write_manifest(f"{out}.manifest.json", f"generate {args.kind}", args,
                     args.seed, inputs, [out], started)
     if not args.quiet:
@@ -169,7 +165,9 @@ def cmd_analyze(args) -> int:
     n = states.shape[1]
     if not 1 <= args.vertex <= n:
         raise ValueError(f"vertex {args.vertex} out of range 1..{n}")
-    s = args.delays if args.delays else n
+    if args.max_k is not None and not args.gap:
+        raise ValueError("--max-k caps the cluster count of --gap; pass --gap with it")
+    s = args.delays if args.delays is not None else n
     u = states[:, args.vertex - 1]
     report = spectral.analyze_vertex(
         u,
@@ -204,7 +202,7 @@ def cmd_cluster(args) -> int:
     started = time.time()
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
-    s = args.delays if args.delays else n
+    s = args.delays if args.delays is not None else n
     comps, spectra = _analyze_all(
         states, s, svd_tol=args.tol_rank, distinct_tol=args.tol_distinct
     )
@@ -220,25 +218,19 @@ def cmd_cluster(args) -> int:
         "cluster_count": k,
         "labels": [{"vertex": v, "cluster": labels[v]} for v in sorted(labels)],
     }
-    labels_out.write_text(json.dumps(payload, indent=2) + "\n")
-    outputs = [labels_out]
+    io.write_json(labels_out, payload)
     comps_out = Path(args.components_out) if args.components_out else labels_out.with_name(
         labels_out.stem + "_components.csv"
     )
-    with open(comps_out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["vertex"]
-            + [f"c{l}_{part}" for l in range(1, s + 1) for part in ("re", "im")]
-        )
-        for v in sorted(comps):
-            row = [v]
-            for c in comps[v]:
-                row += [io.format_float(c.real), io.format_float(c.imag)]
-            writer.writerow(row)
-    outputs.append(comps_out)
+    vertices = sorted(comps)
+    io.write_table(  # complex components as interleaved re, im columns
+        comps_out,
+        ["vertex"] + [f"c{l}_{part}" for l in range(1, s + 1) for part in ("re", "im")],
+        vertices,
+        np.array([comps[v] for v in vertices], dtype=complex).view(float),
+    )
     _write_manifest(f"{labels_out}.manifest.json", "cluster", args, None,
-                    [args.trajectory], outputs, started)
+                    [args.trajectory], [labels_out, comps_out], started)
     if not args.quiet:
         print(f"{k} clusters over {n} vertices -> {labels_out}")
     return 0
@@ -256,23 +248,20 @@ def _demo_fig1(seed, outdir):
 
     everywhere, _ = localizability.localizable_everywhere(system)
     direct = spectral.sort_eigenvalues(np.linalg.eigvals(system.a))
-    reports = {}
-    with open(outdir / "eigenvalues.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "re", "im"])
-        for lam in direct:  # vertex 0 marks the direct global spectrum
-            writer.writerow([0, io.format_float(lam.real), io.format_float(lam.imag)])
-        for v in (1, 3, 5):
-            report = spectral.analyze_vertex(traj.local(v), system.n, vertex=v)
-            reports[v] = report
-            for lam in report.eigenvalues:
-                writer.writerow([v, io.format_float(lam.real), io.format_float(lam.imag)])
+    reports = {v: spectral.analyze_vertex(traj.local(v), system.n, vertex=v)
+               for v in (1, 3, 5)}
+    # vertex 0 marks the direct global spectrum
+    spectra = {0: direct, **{v: r.eigenvalues for v, r in reports.items()}}
+    lams = np.concatenate(list(spectra.values()))
+    io.write_table(outdir / "eigenvalues.csv", ["vertex", "re", "im"],
+                   [v for v, eigs in spectra.items() for _ in eigs],
+                   np.column_stack([lams.real, lams.imag]))
     analysis = {
         "localizable_everywhere": everywhere,
         "x0": [float(v) for v in x0],
         "vertices": {str(v): r.to_json_dict() for v, r in reports.items()},
     }
-    (outdir / "analysis.json").write_text(json.dumps(analysis, indent=2) + "\n")
+    io.write_json(outdir / "analysis.json", analysis)
     return [outdir / "system.json", outdir / "trajectory.csv",
             outdir / "eigenvalues.csv", outdir / "analysis.json"]
 
@@ -315,23 +304,17 @@ def _demo_fig2(seed, outdir):
 
     mu_true = np.sort(np.linalg.eigvalsh(lap))
     mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
-    with open(outdir / "laplacian_spectrum.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mu_true", "mu_estimated"])
-        for i, (mt, me) in enumerate(zip(mu_true, mu_estimated), start=1):
-            writer.writerow([i, io.format_float(mt), io.format_float(me)])
-    with open(outdir / "components.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "c2_re", "c3_re"])
-        for v in sorted(comps):
-            writer.writerow([v, io.format_float(comps[v][1].real),
-                             io.format_float(comps[v][2].real)])
+    io.write_table(outdir / "laplacian_spectrum.csv", ["index", "mu_true", "mu_estimated"],
+                   range(1, n + 1), zip(mu_true, mu_estimated))
+    vertices = sorted(comps)
+    io.write_table(outdir / "components.csv", ["vertex", "c2_re", "c3_re"], vertices,
+                   [comps[v][1:3].real for v in vertices])
     payload = {
         "cluster_count": k,
         "labels": [{"vertex": v, "cluster": labels[v]} for v in sorted(labels)],
         "x0": [float(v) for v in x0],
     }
-    (outdir / "labels.json").write_text(json.dumps(payload, indent=2) + "\n")
+    io.write_json(outdir / "labels.json", payload)
     return [outdir / "adjacency.json", outdir / "system.json", outdir / "trajectory.csv",
             outdir / "laplacian_spectrum.csv", outdir / "components.csv",
             outdir / "labels.json"]
@@ -358,11 +341,8 @@ def _demo_fig3(seed, outdir):
     u = traj.states[:, 0]  # x_{1,1}
     model = embedding.fit_companion(u[: fit_steps + 1], n_lift)
     localized = embedding.predict(model, u[:n_lift], total + 1 - n_lift)
-    with open(outdir / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x11_nonlinear", "x11_localized"])
-        for k in range(total + 1):
-            writer.writerow([k, io.format_float(u[k]), io.format_float(localized[k])])
+    io.write_table(outdir / "trajectory.csv", ["k", "x11_nonlinear", "x11_localized"],
+                   range(total + 1), zip(u, localized))
     run_max = np.maximum.accumulate(np.abs(u))
     max_err = float(np.max(np.abs(localized - u) / np.maximum(run_max, 1e-300)))
     comparison = {
@@ -372,7 +352,7 @@ def _demo_fig3(seed, outdir):
         "fit_steps": fit_steps,
         "model": model.to_json_dict(),
     }
-    (outdir / "comparison.json").write_text(json.dumps(comparison, indent=2) + "\n")
+    io.write_json(outdir / "comparison.json", comparison)
     return [outdir / "coupled_system.json", outdir / "trajectory.csv",
             outdir / "comparison.json"]
 
@@ -389,6 +369,7 @@ def cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localspec",
@@ -461,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, dynsys.GenerationError) as exc:

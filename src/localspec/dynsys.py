@@ -61,11 +61,6 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     @property
-    def m(self) -> int:
-        """Number of simulated steps (length - 1)."""
-        return self.states.shape[0] - 1
-
-    @property
     def n(self) -> int:
         return self.states.shape[1]
 

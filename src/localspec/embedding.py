@@ -141,9 +141,7 @@ def fit_companion(
         raise ValueError("delay count s must be at least 1")
     if u.shape[0] < 2 * s:
         raise ValueError(f"need at least 2s = {2 * s} observations, got {u.shape[0]}")
-    scale = float(np.max(np.abs(u)))
-    if scale == 0.0:
-        return CompanionModel(s=s, weights=np.zeros(s), residual=0.0, scale=1.0)
+    scale = float(np.max(np.abs(u))) or 1.0  # an all-zero series fits zero weights
     x, y = hankel_matrices(u / scale, s)
     weights, _, residual = lstsq_min_norm(np.ascontiguousarray(x.T), y[-1], svd_tol)
     return CompanionModel(s=s, weights=weights, residual=residual * scale, scale=scale)

@@ -1,9 +1,11 @@
-"""File formats: system/adjacency JSON and trajectory CSV.
+"""File formats: system/adjacency JSON, trajectory CSV, reports and tables.
 
-Matrix entries in JSON may be plain doubles or exact-rational strings like
-"3/5"; rationals are parsed via fractions and rounded once to the nearest
-double, so shipped fixtures are unambiguous. CSV doubles are printed with 17
-significant digits for bit-exact round trips.
+Every file the package writes goes through :func:`write_json` (indent-2 JSON
+with a trailing newline) or :func:`write_table` (CSV with an integer key
+column). Matrix entries in JSON may be plain doubles or exact-rational
+strings like "3/5"; rationals are parsed via fractions and rounded once to
+the nearest double, so shipped fixtures are unambiguous. CSV doubles are
+printed with 17 significant digits for bit-exact round trips.
 """
 
 from __future__ import annotations
@@ -38,12 +40,30 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def json_text(payload) -> str:
+    """The text of a JSON file or stdout report: indent 2, trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_json(path, payload) -> None:
+    Path(path).write_text(json_text(payload))
+
+
+def write_table(path, header, keys, values) -> None:
+    """CSV of ``header``, then one row per key: the integer key, then that
+    row of ``values`` printed by :func:`format_float`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key, row in zip(keys, values):
+            writer.writerow([key] + [format_float(v) for v in row])
+
+
 def _matrix_payload(a: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in a]
 
 
 def save_system(path, system: LinearSystem | CoupledCellSystem) -> None:
-    path = Path(path)
     if isinstance(system, LinearSystem):
         payload = {"kind": "linear", "n": system.n, "A": _matrix_payload(system.a)}
     elif isinstance(system, CoupledCellSystem):
@@ -58,7 +78,7 @@ def save_system(path, system: LinearSystem | CoupledCellSystem) -> None:
         }
     else:
         raise TypeError(f"cannot serialize {type(system).__name__}")
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_system(path) -> LinearSystem | CoupledCellSystem:
@@ -86,8 +106,7 @@ def load_system(path) -> LinearSystem | CoupledCellSystem:
 
 def save_adjacency(path, w: np.ndarray) -> None:
     w = np.asarray(w, dtype=float)
-    payload = {"n": w.shape[0], "W": _matrix_payload(w)}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"n": w.shape[0], "W": _matrix_payload(w)})
 
 
 def load_adjacency(path) -> np.ndarray:
@@ -103,47 +122,43 @@ def load_adjacency(path) -> np.ndarray:
 def save_trajectory(path, states: np.ndarray) -> None:
     """CSV with header k,x1,...,xn and one row per time step."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    n = states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"x{i}" for i in range(1, n + 1)])
-        for k, row in enumerate(states):
-            writer.writerow([k] + [format_float(v) for v in row])
+    header = ["k"] + [f"x{i}" for i in range(1, states.shape[1] + 1)]
+    write_table(path, header, range(states.shape[0]), states)
 
 
 def load_trajectory(path) -> np.ndarray:
     """States of a trajectory CSV, one row per time step.
 
-    Rejects, naming the 1-based CSV line, a row whose value count differs
-    from the header's and a value that is not a number, NaN or infinite.
+    Rejects, naming the 1-based CSV line the row ends on, a row whose value
+    count differs from the header's and a value that is not a number, NaN or
+    infinite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)  # None for an empty file
         if not header or header[0] != "k":
             raise ValueError("trajectory CSV must start with a 'k,x1,...' header")
-        try:
-            rows = [[float(v) for v in row[1:]] for row in reader]
-        except ValueError as exc:  # float() names the value, the reader the line
-            raise ValueError(
-                f"trajectory CSV line {reader.line_num} holds a value that is not a "
-                f"number ({exc})"
-            ) from None
+        width = len(header) - 1
+        rows, lines = [], []  # lines[i]: the CSV line on which rows[i] ends
+        for row in reader:
+            values = row[1:]
+            if len(values) != width:
+                raise ValueError(f"trajectory CSV line {reader.line_num} holds "
+                                 f"{len(values)} values, the header names {width}")
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:  # float() names the value, the reader the line
+                raise ValueError(
+                    f"trajectory CSV line {reader.line_num} holds a value that is not a "
+                    f"number ({exc})"
+                ) from None
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError("trajectory CSV holds no states")
-    width = len(header) - 1
-    try:
-        states = np.array(rows, dtype=float)
-    except ValueError:  # ragged rows
-        states = None
-    if states is None or states.shape[1] != width:
-        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
-        raise ValueError(
-            f"trajectory CSV line {line} holds {len(row)} values, the header names {width}"
-        )
+    states = np.array(rows, dtype=float)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        line = int(np.argmin(finite)) + 2
+        line = lines[int(np.argmin(finite))]
         raise ValueError(f"trajectory CSV line {line} holds a non-finite value")
     return states
 

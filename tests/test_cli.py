@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: subcommands, file formats, determinism, demos."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from localspec import normalized_laplacian
-from localspec.cli import main
+from localspec.cli import build_parser, main
 from localspec.io import example1_path, load_system, load_trajectory, save_trajectory
 
 
@@ -85,6 +86,69 @@ class TestOptionSurface:
         assert info.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_intact(self, tmp_path, capsys):
+        sys_file, rep = tmp_path / "bip.json", tmp_path / "loc.json"
+        assert run("generate", "bipartite", "--out", sys_file, "--quiet") == 0
+        with pytest.raises(SystemExit) as info:
+            run("localizability", sys_file, "--vertex", "1", "--bogus")
+        assert info.value.code == 2
+        assert run("localizability", sys_file, "--vertex", "2", "--out", rep, "--quiet") == 0
+        params = json.loads((tmp_path / "loc.json.manifest.json").read_text())["parameters"]
+        assert params["vertex"] == 2 and params["all"] is False
+        assert [r["vertex"] for r in json.loads(rep.read_text())["reports"]] == [2]
+
+
+class TestOptionValues:
+    def _trajectory(self, tmp_path):
+        sys_file, traj = tmp_path / "bip.json", tmp_path / "t.csv"
+        assert run("generate", "bipartite", "--out", sys_file, "--quiet") == 0
+        assert run("simulate", sys_file, "--steps", "24", "--x0-seed", "7",
+                   "--out", traj, "--quiet") == 0
+        return traj
+
+    @pytest.mark.parametrize("command", ["analyze", "cluster"])
+    def test_zero_delays_rejected(self, tmp_path, capsys, command):
+        traj = self._trajectory(tmp_path)
+        assert run(command, traj, "--delays", "0", "--out", tmp_path / "r.json",
+                   "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "delay count s must be at least 1", "type": "ValueError"}
+        assert not (tmp_path / "r.json").exists()
+
+    def test_max_k_without_gap_rejected(self, tmp_path, capsys):
+        traj = self._trajectory(tmp_path)
+        assert run("analyze", traj, "--max-k", "3", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "--gap" in err["error"]
+        assert run("analyze", traj, "--max-k", "3", "--gap", "--quiet") == 0
+
+
+class TestTableFormat:
+    def test_every_cli_table_has_an_integer_key_and_17_digit_floats(self, tmp_path):
+        sys_file, traj = tmp_path / "bip.json", tmp_path / "t.csv"
+        assert run("generate", "bipartite", "--out", sys_file, "--quiet") == 0
+        assert run("simulate", sys_file, "--steps", "24", "--x0-seed", "7",
+                   "--out", traj, "--quiet") == 0
+        assert run("cluster", traj, "--k", "2", "--out", tmp_path / "labels.json",
+                   "--quiet") == 0
+        tables = [traj, tmp_path / "labels_components.csv"]
+        for fig, names in DEMO_PAYLOADS.items():
+            assert run("demo", fig, "--outdir", tmp_path / fig, "--quiet") == 0
+            tables += [tmp_path / fig / name for name in names if name.endswith(".csv")]
+        assert len(tables) == 8
+        for path in tables:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path
+            for row in rows:
+                assert row[0] == str(int(row[0])), path
+                assert all(x == format(float(x), ".17g") for x in row[1:]), path
 
 
 class TestGenerate:

@@ -119,11 +119,29 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            load_trajectory(path)
+
     @pytest.mark.parametrize("row", ["2,5.0", "2,5.0,6.0,7.0", ""])
     def test_ragged_row_rejected_naming_the_line(self, tmp_path, row):
         path = tmp_path / "ragged.csv"
         path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,4.0\n{row}\n3,7.0,8.0\n")
         with pytest.raises(ValueError, match="line 4 holds"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [("1,3.0", "1 values, the header names 2"), ("1,3.0,nan", "a non-finite value")],
+        ids=["ragged", "nan"],
+    )
+    def test_line_counted_after_a_multi_line_field(self, tmp_path, row, what):
+        # the quoted field spans lines 2-3, so the faulty row sits on line 4
+        path = tmp_path / "multiline.csv"
+        path.write_text(f'k,x1,x2\n0,"1.0\n",2\n{row}\n')
+        with pytest.raises(ValueError, match=f"line 4 holds {what}"):
             load_trajectory(path)
 
     def test_rows_all_narrower_than_header_rejected(self, tmp_path):
