@@ -32,7 +32,6 @@ from .dynsys import (
 from .embedding import (
     CompanionModel,
     NotLocalizableError,
-    dmd,
     exact_companion,
     fit_companion,
     hankel_matrices,
@@ -52,7 +51,6 @@ from .spectral import (
     DegenerateSpectrumError,
     SpectralReport,
     analyze_vertex,
-    companion_eigenvector,
     consensus_cluster_count,
     decentralized_cluster_labels,
     detect_cluster_count,
@@ -79,13 +77,11 @@ __all__ = [
     "analyze_vertex",
     "bipartite_fixture",
     "build_wave_system",
-    "companion_eigenvector",
     "consensus_cluster_count",
     "coupled_cell_fixture",
     "decentralized_cluster_labels",
     "dependency_graph",
     "detect_cluster_count",
-    "dmd",
     "exact_companion",
     "fit_companion",
     "generate_sbm",

@@ -20,8 +20,6 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_DISTINCT_TOL = 1e-9
 # Real parts with magnitude below this resolve to '+' in sign-pattern labels.
 DEFAULT_SIGN_TOL = 1e-9
-# Imaginary residue allowed when interpreting an estimated spectrum as real.
-DEFAULT_IMAG_TOL = 1e-8
 # Largest matched-pair distance between a spectrum and its negation that
 # still counts as bipartite.
 DEFAULT_BIPARTITE_TOL = 1e-6

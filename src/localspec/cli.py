@@ -66,13 +66,20 @@ def _parse_x0(args, n):
     return values
 
 
+def tolerance(text: str) -> float:
+    """An argparse type: a finite positive float (NaN fails the comparison)."""
+    if not 0.0 < (value := float(text)) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 # Options shared by several commands; each command registers those it reads.
 _SHARED_OPTIONS = {
     "--out": dict(help="output file path"),
     "--seed": dict(type=int, default=0, help="generator seed"),
-    "--tol-rank": dict(type=float, default=DEFAULT_RANK_TOL,
+    "--tol-rank": dict(type=tolerance, default=DEFAULT_RANK_TOL,
                        help="relative singular-value cutoff for rank decisions"),
-    "--tol-distinct": dict(type=float, default=DEFAULT_DISTINCT_TOL,
+    "--tol-distinct": dict(type=tolerance, default=DEFAULT_DISTINCT_TOL,
                            help="eigenvalue distinctness tolerance"),
 }
 
@@ -107,6 +114,8 @@ def cmd_generate(args) -> int:
         lap = dynsys.normalized_laplacian(w)
         io.save_system(out, dynsys.build_wave_system(lap, args.wave_speed))
     else:  # random; argparse admits no other kind
+        if args.dim < 1:
+            raise ValueError(f"--dim must be at least 1, got {args.dim}")
         rng = np.random.default_rng(args.seed)
         a = rng.standard_normal((args.dim, args.dim))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
@@ -210,6 +219,8 @@ def cmd_cluster(args) -> int:
         k = spectral.consensus_cluster_count(spectra, max_k=(s + 1) // 2)
     else:
         k = int(args.k)
+        if k < 1:
+            raise ValueError(f"--k must be at least 1 or 'auto', got {k}")
     labels = (
         {v: 0 for v in comps} if k < 2 else spectral.decentralized_cluster_labels(comps, k)
     )

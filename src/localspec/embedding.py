@@ -1,4 +1,4 @@
-"""Delay-embedded data matrices, DMD, and companion models of local dynamics.
+"""Delay-embedded data matrices and companion models of one vertex's dynamics.
 
 The local model of a single observed vertex is the s x s companion matrix
 whose bottom row carries the weights of the recurrence
@@ -8,13 +8,12 @@ fixed shift structure, so only the weights are ever estimated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm
-from .dynsys import LinearSystem, Trajectory
+from .dynsys import LinearSystem
 from .localizability import _split_blocks, is_localizable
 
 
@@ -65,62 +64,22 @@ class CompanionModel:
         }
 
 
-def _observations(data) -> np.ndarray:
-    """Normalize trajectory input to a (steps, p) observation array."""
-    if isinstance(data, Trajectory):
-        return data.states
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None]
-    if arr.ndim == 2:
-        return arr
-    raise ValueError("trajectory data must be 1- or 2-dimensional")
+def hankel_matrices(u, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-embedded (Hankel-structured) data pair ``(x, y)`` of a scalar series.
 
-
-def hankel_matrices(data, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-embedded (Hankel-structured) data pair ``(x, y)``.
-
-    Accepts a scalar series, a (steps, p) array, or a :class:`Trajectory`.
-    Column j of ``x`` stacks the p-vectors observed at times j..j+s-1, and
-    ``y`` is the same stack shifted one step, so rows p.. of ``x`` repeat
-    rows ..(s-1)p of ``y``. A series of m+1 observations yields m - s + 1
-    columns.
+    Column j of ``x`` holds u(j), ..., u(j+s-1), and ``y`` is the same window
+    shifted one step, so rows 1.. of ``x`` repeat rows ..s-2 of ``y``. A
+    series of m+1 observations yields m - s + 1 columns.
     """
-    obs = _observations(data)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"expected a scalar series, got an array of shape {u.shape}")
     if s < 1:
         raise ValueError("delay count s must be at least 1")
-    m = obs.shape[0] - 1
-    if m + 1 < s + 1:
-        raise ValueError(f"need at least s+1 = {s + 1} observations, got {m + 1}")
-    p = obs.shape[1]
-    # windows[i] is the (p, m-s+1) block of observations i..i+m-s
-    windows = np.lib.stride_tricks.sliding_window_view(obs, m - s + 1, axis=0)
-    x = windows[:s].reshape(s * p, -1).copy()
-    y = windows[1:].reshape(s * p, -1).copy()
-    return x, y
-
-
-def dmd(x: np.ndarray, y: np.ndarray, svd_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Least-squares linear propagator C = Y X^+ between shifted data matrices.
-
-    Solves X^T C^T = Y^T by least squares, truncating singular values
-    <= svd_tol * sigma_max, so C is the minimum-norm minimizer of the
-    Frobenius residual ||C X - Y||_F. Rank deficiency of X (including an
-    all-zero X, which yields C = 0) is reported through a RankWarning.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
-    c_t, rank, _ = lstsq_min_norm(x.T, y.T, svd_tol)
-    if rank < min(x.shape):
-        warnings.warn(
-            f"data matrix has numeric rank {rank} < {min(x.shape)}; "
-            "returning the minimum-norm fit",
-            np.exceptions.RankWarning,
-            stacklevel=2,
-        )
-    return c_t.T
+    if u.shape[0] < s + 1:
+        raise ValueError(f"need at least s+1 = {s + 1} observations, got {u.shape[0]}")
+    windows = np.lib.stride_tricks.sliding_window_view(u, u.shape[0] - s)
+    return windows[:s].copy(), windows[1:].copy()
 
 
 def fit_companion(

@@ -81,8 +81,16 @@ def save_system(path, system: LinearSystem | CoupledCellSystem) -> None:
     write_json(path, payload)
 
 
-def load_system(path) -> LinearSystem | CoupledCellSystem:
+def _load_object(path) -> dict:
+    """The top-level JSON object of a system or adjacency file."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_system(path) -> LinearSystem | CoupledCellSystem:
+    data = _load_object(path)
     kind = data.get("kind", "linear")
     if kind == "coupled":
         return CoupledCellSystem(
@@ -110,7 +118,7 @@ def save_adjacency(path, w: np.ndarray) -> None:
 
 
 def load_adjacency(path) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
+    data = _load_object(path)
     if "W" not in data:
         raise ValueError("not an adjacency file: key 'W' missing (system files use 'A')")
     w = _parse_matrix(data["W"])
@@ -135,8 +143,8 @@ def load_trajectory(path) -> np.ndarray:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)  # None for an empty file
-        if not header or header[0] != "k":
+        header = next(reader, [])  # [] for an empty file
+        if len(header) < 2 or header[0] != "k":
             raise ValueError("trajectory CSV must start with a 'k,x1,...' header")
         width = len(header) - 1
         rows, lines = [], []  # lines[i]: the CSV line on which rows[i] ends

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_BIPARTITE_TOL, DEFAULT_DISTINCT_TOL, DEFAULT_IMAG_TOL,
-                      DEFAULT_RANK_TOL, DEFAULT_SIGN_TOL, lstsq_min_norm)
+from ._linalg import (DEFAULT_BIPARTITE_TOL, DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL,
+                      DEFAULT_SIGN_TOL, lstsq_min_norm)
 from .embedding import CompanionModel, fit_companion
 
 
@@ -75,13 +75,6 @@ def local_eigenvalues(model: CompanionModel) -> np.ndarray:
     return sort_eigenvalues(np.linalg.eigvals(model.companion_matrix()))
 
 
-def companion_eigenvector(lam: complex, s: int) -> np.ndarray:
-    """Eigenvector (1, lam, ..., lam^(s-1)) of a companion matrix for root lam."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    return np.power(complex(lam), np.arange(s))
-
-
 def trace_det(model: CompanionModel) -> tuple[float, float]:
     """Trace and determinant read directly off the companion weights.
 
@@ -125,26 +118,6 @@ def is_bipartite_spectrum(eigs: np.ndarray, tol: float = DEFAULT_BIPARTITE_TOL) 
     return bool(multiset_distance(eigs, -eigs) <= tol)
 
 
-def _conjugate_symmetrize(eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Pair each eigenvalue with its conjugate and average the coefficients."""
-    out = coeffs.astype(complex).copy()
-    used = np.zeros(len(eigs), dtype=bool)
-    for i, lam in enumerate(eigs):
-        if used[i]:
-            continue
-        dists = np.abs(eigs - np.conj(lam))
-        dists[used] = np.inf
-        j = int(np.argmin(dists))
-        if j == i:
-            out[i] = out[i].real
-        else:
-            avg = 0.5 * (out[i] + np.conj(out[j]))
-            out[i] = avg
-            out[j] = np.conj(avg)
-        used[i] = used[j] = True
-    return out
-
-
 def local_eigenvector_components(
     u: np.ndarray,
     eigs: np.ndarray,
@@ -155,8 +128,12 @@ def local_eigenvector_components(
 
     Solves the row regression u(k) = sum_l c_l lam_l^k over all observed k
     (a Vandermonde system in the eigenvalues) by minimum-norm least squares.
-    Requires pairwise-distinct eigenvalues; for real trajectories the
-    conjugate-pair coefficients are symmetrized to exact conjugates.
+    Requires pairwise-distinct eigenvalues. For a real trajectory each
+    coefficient is averaged with the conjugate of its partner's (the
+    eigenvalue nearest its conjugate), and the later of two partners takes
+    the conjugate of that average. On a spectrum closed under conjugation, as
+    ``eigvals`` of a real matrix returns, partnership is mutual, so conjugate
+    pairs get exact conjugates and real eigenvalues get real coefficients.
     """
     u = np.asarray(u).reshape(-1)
     eigs = np.asarray(eigs, dtype=complex).reshape(-1)
@@ -178,33 +155,24 @@ def local_eigenvector_components(
     powers = np.vander(eigs, N=u.shape[0], increasing=True)
     coeffs, _, _ = lstsq_min_norm(powers.T, u.astype(complex), svd_tol)
     if np.isrealobj(u) or np.max(np.abs(np.imag(u))) == 0.0:
-        coeffs = _conjugate_symmetrize(eigs, coeffs)
+        partner = np.argmin(np.abs(eigs[:, None] - np.conj(eigs)), axis=1)
+        avg = 0.5 * (coeffs + np.conj(coeffs[partner]))
+        coeffs = np.where(np.arange(eigs.size) <= partner, avg, np.conj(avg[partner]))
     return coeffs
 
 
-def detect_cluster_count(
-    eigs: np.ndarray, max_k: int, imag_tol: float = DEFAULT_IMAG_TOL
-) -> int:
+def detect_cluster_count(eigs: np.ndarray, max_k: int) -> int:
     """Number of weakly coupled clusters read off the dominant spectral gap.
 
-    Sorts the dynamics eigenvalues by descending value (for Laplacian-driven
-    dynamics of the (I - L)-type or wave form, dominant modes correspond to
-    small Laplacian eigenvalues) and returns the k in [1, max_k) with the
-    largest gap lam_k - lam_{k+1}, first index winning ties.
+    Sorts the real parts of the dynamics eigenvalues descending (for
+    Laplacian-driven dynamics of the (I - L)-type or wave form, dominant
+    modes correspond to small Laplacian eigenvalues) and returns the k in
+    [1, max_k) with the largest gap lam_k - lam_{k+1}, first index winning
+    ties.
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    eigs = np.asarray(eigs)
-    if np.iscomplexobj(eigs):
-        if eigs.size and np.max(np.abs(eigs.imag)) > imag_tol:
-            raise ValueError(
-                f"spectrum has imaginary parts above {imag_tol:g}; "
-                "not a Laplacian-driven real spectrum"
-            )
-        eigs = eigs.real
-    if eigs.size < 2:
-        return 1
-    values = np.sort(eigs)[::-1]
+    values = np.sort(np.asarray(eigs).real)[::-1]
     top = min(max_k - 1, values.size - 1)
     if top < 1:
         return 1
@@ -301,7 +269,7 @@ def analyze_vertex(
     cluster_count = None
     if detect_clusters:
         k_cap = max_k if max_k is not None else (s + 1) // 2
-        cluster_count = detect_cluster_count(eigs.real, max_k=k_cap)
+        cluster_count = detect_cluster_count(eigs, max_k=k_cap)
     return SpectralReport(
         eigenvalues=eigs,
         vertex_components=components,

@@ -128,6 +128,40 @@ class TestOptionValues:
         assert err["type"] == "ValueError" and "--gap" in err["error"]
         assert run("analyze", traj, "--max-k", "3", "--gap", "--quiet") == 0
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_cluster_count_below_one_rejected(self, tmp_path, capsys, k):
+        traj = self._trajectory(tmp_path)
+        assert run("cluster", traj, "--k", k, "--out", tmp_path / "l.json", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "--k" in err["error"]
+        assert not (tmp_path / "l.json").exists()
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_random_dimension_below_one_rejected(self, tmp_path, capsys, dim):
+        out = tmp_path / "r.json"
+        assert run("generate", "random", "--dim", dim, "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "--dim" in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("localizability", "--tol-rank", "nan"),
+        ("analyze", "--tol-rank", "-1"),
+        ("analyze", "--tol-distinct", "0"),
+        ("cluster", "--tol-rank", "inf"),
+        ("cluster", "--tol-distinct", "-inf"),
+    ])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command,
+                                                  option, value):
+        sys_file, traj = tmp_path / "bip.json", self._trajectory(tmp_path)
+        target = sys_file if command == "localizability" else traj
+        with pytest.raises(SystemExit) as info:
+            run(command, target, f"{option}={value}", "--out", tmp_path / "r.json",
+                "--quiet")
+        assert info.value.code == 2
+        assert f"argument {option}: must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestTableFormat:
     def test_every_cli_table_has_an_integer_key_and_17_digit_floats(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Delay matrices, DMD, companion models, prediction, hidden-state recovery."""
+"""Delay matrices, companion models, prediction, hidden-state recovery."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from conftest import growth_normalized_error, random_localizable_system, random_
 from localspec import (
     LinearSystem,
     NotLocalizableError,
-    Trajectory,
-    dmd,
     exact_companion,
     fit_companion,
     hankel_matrices,
@@ -17,7 +15,6 @@ from localspec import (
     permute_vertex_first,
     predict,
     recover_hidden_state,
-    simulate,
     simulate_local,
 )
 from localspec.io import example1_system
@@ -43,53 +40,14 @@ class TestHankelMatrices:
             assert np.array_equal(x[1:], y[: s - 1])
 
     def test_vector_observations(self):
-        rng = np.random.default_rng(1)
-        traj = Trajectory(rng.standard_normal((9, 3)))
-        x, y = hankel_matrices(traj, s=3)
-        assert x.shape == y.shape == (9, 6)
-        assert np.array_equal(x[3:], y[:6])
-        assert np.array_equal(x[:3, 0], traj.states[0])
-        assert np.array_equal(y[6:, -1], traj.states[-1])
+        # the embedding is of one scalar series; a (steps, p) array is rejected
+        states = np.random.default_rng(1).standard_normal((9, 3))
+        with pytest.raises(ValueError, match="scalar series"):
+            hankel_matrices(states, s=3)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             hankel_matrices(np.ones(3), s=3)
-
-
-class TestDmd:
-    def test_identity_when_y_equals_x(self):
-        x = np.random.default_rng(0).standard_normal((3, 12))
-        assert np.allclose(dmd(x, x), np.eye(3), atol=1e-10)
-
-    def test_recovers_known_operator(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 4))
-        x = rng.standard_normal((4, 20))
-        assert np.allclose(dmd(x, m @ x), m, atol=1e-10)
-
-    def test_residual_on_simulated_data(self):
-        sys = random_system(2, n=4)
-        x0 = np.random.default_rng(3).standard_normal(4)
-        traj = simulate(sys, x0, 12)
-        x, y = hankel_matrices(traj, s=1)
-        c = dmd(x, y)
-        assert np.linalg.norm(c @ x - y) <= 1e-8
-
-    def test_zero_data_warns_and_returns_zero(self):
-        x = np.zeros((3, 5))
-        with pytest.warns(np.exceptions.RankWarning):
-            c = dmd(x, x)
-        assert np.array_equal(c, np.zeros((3, 3)))
-
-    def test_sampled_first_order_optimality(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 6))
-        y = rng.standard_normal((3, 6))
-        c = dmd(x, y)
-        base = np.linalg.norm(c @ x - y)
-        for _ in range(25):
-            delta = rng.standard_normal(c.shape) * 1e-6
-            assert np.linalg.norm((c + delta) @ x - y) >= base - 1e-12
 
 
 class TestFitCompanion:

@@ -62,6 +62,13 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match="declared n"):
             load_system(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"A"', "null"])
+    def test_top_level_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            load_system(path)
+
 
 class TestExample1Fixtures:
     @pytest.mark.parametrize("which", EXAMPLE1_NAMES)
@@ -96,6 +103,13 @@ class TestAdjacencyFiles:
         save_adjacency(path, w)
         assert np.array_equal(load_adjacency(path), w)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"W"', "null"])
+    def test_top_level_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            load_adjacency(path)
+
 
 class TestTrajectoryCsv:
     def test_header_and_round_trip(self, tmp_path):
@@ -116,6 +130,12 @@ class TestTrajectoryCsv:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="header"):
+            load_trajectory(path)
+
+    def test_header_without_state_columns_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("k\n0\n1\n")
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path)
 

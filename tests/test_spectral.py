@@ -10,7 +10,6 @@ from localspec import (
     analyze_vertex,
     bipartite_fixture,
     build_wave_system,
-    companion_eigenvector,
     consensus_cluster_count,
     decentralized_cluster_labels,
     detect_cluster_count,
@@ -62,18 +61,12 @@ class TestLocalEigenvalues:
 
 
 class TestCompanionEigenvector:
-    def test_unit_eigenvalue_gives_ones(self):
-        assert np.array_equal(companion_eigenvector(1.0, 4), np.ones(4))
-
-    def test_zero_eigenvalue(self):
-        assert np.array_equal(companion_eigenvector(0.0, 3), [1.0, 0.0, 0.0])
-
     def test_eigenpair_residual(self):
         for seed in range(15):
             model = exact_companion(random_system(seed))
             c = model.companion_matrix()
             for lam in local_eigenvalues(model):
-                xi = companion_eigenvector(lam, model.s)
+                xi = np.power(lam, np.arange(model.s))  # (1, lam, ..., lam^(s-1))
                 assert np.linalg.norm(c @ xi - lam * xi) <= 1e-9 * max(
                     1.0, np.linalg.norm(xi)
                 )
@@ -157,9 +150,18 @@ class TestEigenvectorComponents:
         u = simulate_local(sys, x0, 24, 1)
         eigs = local_eigenvalues(fit_companion(u, 6))
         c = local_eigenvector_components(u, eigs)
+        assert np.any(eigs.imag != 0.0) and np.any(eigs.imag == 0.0)
         for i, lam in enumerate(eigs):
             j = int(np.argmin(np.abs(eigs - np.conj(lam))))
-            assert c[i] == pytest.approx(np.conj(c[j]), abs=1e-8)
+            assert c[i] == np.conj(c[j])
+            if lam.imag == 0.0:
+                assert c[i].imag == 0.0
+
+    def test_zero_pair_coefficients_are_bitwise_conjugates(self):
+        # the JSON reports print the sign of a zero, so -0.0 must stay paired
+        # with 0.0 in the imaginary parts of a conjugate pair
+        c = local_eigenvector_components(np.zeros(9), np.array([0.5 + 0.5j, 0.5 - 0.5j]))
+        assert np.array_equal(c.view(np.uint64), np.conj(c[::-1]).view(np.uint64))
 
     def test_repeated_eigenvalues_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
@@ -211,10 +213,6 @@ class TestDetectClusterCount:
 
     def test_single_eigenvalue(self):
         assert detect_cluster_count(np.array([1.0]), max_k=3) == 1
-
-    def test_imaginary_contamination_rejected(self):
-        with pytest.raises(ValueError):
-            detect_cluster_count(np.array([1.0 + 0.1j, 0.5]), max_k=2)
 
     def test_first_tie_wins(self):
         assert detect_cluster_count(np.array([1.0, 0.5, 0.0]), max_k=3) == 1
