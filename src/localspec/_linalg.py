@@ -47,16 +47,14 @@ def lstsq_min_norm(
 ) -> tuple[np.ndarray, int, float]:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
 
-    ``b`` is a vector or a matrix with one right-hand side per column. Works
-    for real and complex data. Returns ``(x, rank, residual_norm)`` where
-    ``residual_norm = ||a @ x - b||`` (2-norm, or Frobenius for a matrix).
+    ``b`` is a vector. Works for real and complex data. Returns
+    ``(x, rank, residual_norm)`` where ``residual_norm = ||a @ x - b||``.
+    At rank 0 the empty products give the zero solution.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
-    # the transposes divide row i of U^H b by s_i for a matrix b too; at rank
-    # 0 the empty products give the zero solution
-    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b).T / s[:rank]).T
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
     residual = float(np.linalg.norm(a @ x - b))
     return x, rank, residual

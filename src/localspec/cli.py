@@ -54,16 +54,21 @@ def _emit_json(args, command, payload, inputs, started):
         sys.stdout.write(io.json_text(payload))
 
 
+def _convert(option, kind, text, alternative=""):
+    """``kind(text)``, or a ValueError naming ``option`` for a value it rejects."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{option} takes {kind.__name__}s{alternative}, got {text!r}") from None
+
+
 def _parse_x0(args, n):
+    """The initial state; the simulators check its dimension."""
     if args.x0 is not None:
-        values = np.array([float(v) for v in args.x0.split(",")], dtype=float)
-    elif args.x0_seed is not None:
-        values = np.random.default_rng(args.x0_seed).standard_normal(n)
-    else:
-        raise ValueError("provide --x0 or --x0-seed")
-    if values.shape[0] != n:
-        raise ValueError(f"x0 has dimension {values.shape[0]}, system needs {n}")
-    return values
+        return np.array([_convert("--x0", float, v) for v in args.x0.split(",")])
+    if args.x0_seed is not None:
+        return np.random.default_rng(args.x0_seed).standard_normal(n)
+    raise ValueError("provide --x0 or --x0-seed")
 
 
 def tolerance(text: str) -> float:
@@ -96,7 +101,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.kind}.json")
     inputs = []
     if args.kind == "sbm":
-        sizes = [int(v) for v in args.sizes.split(",")]
+        sizes = [_convert("--sizes", int, v) for v in args.sizes.split(",")]
         w = dynsys.generate_sbm(
             sizes, args.intra_p, args.inter_p, args.intra_weight, args.inter_weight,
             seed=args.seed,
@@ -193,18 +198,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_all(states, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
-    """Per-vertex components and spectra, each from that vertex's column alone."""
-    comps: dict[int, np.ndarray] = {}
-    spectra: dict[int, np.ndarray] = {}
-    for v in range(1, states.shape[1] + 1):
-        report = spectral.analyze_vertex(
-            states[:, v - 1], s, vertex=v, check_bipartite=False,
-            svd_tol=svd_tol, distinct_tol=distinct_tol,
-        )
-        spectra[v] = report.eigenvalues
-        comps[v] = report.vertex_components[v]
-    return comps, spectra
+def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+    """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra,
+    each vertex analyzed from its own column; ``k="auto"`` takes the consensus count."""
+    reports = {v: spectral.analyze_vertex(states[:, v - 1], s, vertex=v, check_bipartite=False,
+                                          svd_tol=svd_tol, distinct_tol=distinct_tol)
+               for v in range(1, states.shape[1] + 1)}
+    comps = {v: r.vertex_components[v] for v, r in reports.items()}
+    spectra = {v: r.eigenvalues for v, r in reports.items()}
+    if k == "auto":
+        k = spectral.consensus_cluster_count(spectra)
+    labels = spectral.decentralized_cluster_labels(comps, k)
+    payload = {"cluster_count": k,
+               "labels": [{"vertex": v, "cluster": c} for v, c in sorted(labels.items())]}
+    return payload, comps, spectra
 
 
 def cmd_cluster(args) -> int:
@@ -212,23 +219,11 @@ def cmd_cluster(args) -> int:
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
     s = args.delays if args.delays is not None else n
-    comps, spectra = _analyze_all(
-        states, s, svd_tol=args.tol_rank, distinct_tol=args.tol_distinct
-    )
-    if args.k == "auto":
-        k = spectral.consensus_cluster_count(spectra, max_k=(s + 1) // 2)
-    else:
-        k = int(args.k)
-        if k < 1:
-            raise ValueError(f"--k must be at least 1 or 'auto', got {k}")
-    labels = (
-        {v: 0 for v in comps} if k < 2 else spectral.decentralized_cluster_labels(comps, k)
-    )
+    k = args.k if args.k == "auto" else _convert("--k", int, args.k, " or 'auto'")
+    if k != "auto" and k < 1:
+        raise ValueError(f"--k must be at least 1 or 'auto', got {k}")
+    payload, comps, _ = _cluster(states, s, k, args.tol_rank, args.tol_distinct)
     labels_out = Path(args.out) if args.out else Path("labels.json")
-    payload = {
-        "cluster_count": k,
-        "labels": [{"vertex": v, "cluster": labels[v]} for v in sorted(labels)],
-    }
     io.write_json(labels_out, payload)
     comps_out = Path(args.components_out) if args.components_out else labels_out.with_name(
         labels_out.stem + "_components.csv"
@@ -243,7 +238,7 @@ def cmd_cluster(args) -> int:
     _write_manifest(f"{labels_out}.manifest.json", "cluster", args, None,
                     [args.trajectory], [labels_out, comps_out], started)
     if not args.quiet:
-        print(f"{k} clusters over {n} vertices -> {labels_out}")
+        print(f"{payload['cluster_count']} clusters over {n} vertices -> {labels_out}")
     return 0
 
 
@@ -286,20 +281,15 @@ def _demo_fig2(seed, outdir):
     """Three-cluster SBM: decentralized spectral clustering from local data."""
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    # weakly coupled three-block graph; resample (bounded) until connected,
-    # since a vertex's trajectory carries no information about components it
-    # is not attached to
-    w = None
-    for _ in range(100):
-        candidate = dynsys.generate_sbm(
-            [5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=int(rng.integers(2**63))
-        )
-        graph = dynsys.dependency_graph(dynsys.LinearSystem(candidate))
+    # weakly coupled three-block graph; resample (bounded) until connected, since a
+    # vertex's trajectory carries no information about components it is not attached to
+    for _ in range(dynsys.MAX_DRAWS):
+        w = dynsys.generate_sbm([5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=int(rng.integers(2**63)))
+        graph = dynsys.dependency_graph(dynsys.LinearSystem(w))
         if localizability.is_strongly_connected(graph):  # W is symmetric
-            w = candidate
             break
-    if w is None:
-        raise dynsys.GenerationError("no connected SBM draw in 100 tries")
+    else:
+        raise dynsys.GenerationError(f"no connected SBM draw in {dynsys.MAX_DRAWS} draws")
     io.save_adjacency(outdir / "adjacency.json", w)
     n = w.shape[0]
     lap = dynsys.normalized_laplacian(w)
@@ -309,9 +299,7 @@ def _demo_fig2(seed, outdir):
     traj = dynsys.simulate(system, x0, FIG2_STEPS)
     io.save_trajectory(outdir / "trajectory.csv", traj.states)
 
-    comps, spectra = _analyze_all(traj.states, n)
-    k = spectral.consensus_cluster_count(spectra, max_k=(n + 1) // 2)
-    labels = spectral.decentralized_cluster_labels(comps, max(k, 2))
+    payload, comps, spectra = _cluster(traj.states, n)
 
     mu_true = np.sort(np.linalg.eigvalsh(lap))
     mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
@@ -320,12 +308,7 @@ def _demo_fig2(seed, outdir):
     vertices = sorted(comps)
     io.write_table(outdir / "components.csv", ["vertex", "c2_re", "c3_re"], vertices,
                    [comps[v][1:3].real for v in vertices])
-    payload = {
-        "cluster_count": k,
-        "labels": [{"vertex": v, "cluster": labels[v]} for v in sorted(labels)],
-        "x0": [float(v) for v in x0],
-    }
-    io.write_json(outdir / "labels.json", payload)
+    io.write_json(outdir / "labels.json", {**payload, "x0": [float(v) for v in x0]})
     return [outdir / "adjacency.json", outdir / "system.json", outdir / "trajectory.csv",
             outdir / "laplacian_spectrum.csv", outdir / "components.csv",
             outdir / "labels.json"]

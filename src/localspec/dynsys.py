@@ -12,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_DRAWS = 100  # draws a seeded generator makes before it raises GenerationError
+
+
 class GenerationError(RuntimeError):
-    """A seeded generator exhausted its retry budget."""
+    """A seeded generator exhausted its :data:`MAX_DRAWS` draws."""
 
 
 @dataclass(frozen=True)
@@ -205,14 +208,14 @@ def generate_sbm(
     intra_weight: float,
     inter_weight: float,
     seed: int,
-    max_retries: int = 100,
 ) -> np.ndarray:
     """Weighted stochastic-block-model adjacency, deterministic in ``seed``.
 
     Each intra-cluster pair is connected independently with probability
     ``intra_p`` and weight ``intra_weight``; inter-cluster pairs use
-    ``inter_p`` / ``inter_weight``. Draws are repeated (bounded) until no
-    vertex is isolated, since downstream Laplacians need positive degrees.
+    ``inter_p`` / ``inter_weight``. Draws are repeated, at most
+    :data:`MAX_DRAWS` times, until no vertex is isolated, since downstream
+    Laplacians need positive degrees.
     """
     sizes = [int(s) for s in cluster_sizes]
     if len(sizes) < 1 or any(s < 1 for s in sizes):
@@ -230,14 +233,14 @@ def generate_sbm(
     weight = np.where(same, intra_weight, inter_weight)
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         upper = np.triu(rng.random((n, n)) < prob, k=1)
         w = np.where(upper, weight, 0.0)
         w = w + w.T
         if np.all(w.sum(axis=1) > 0):
             return w
     raise GenerationError(
-        f"no isolation-free graph found in {max_retries} draws (seed {seed})"
+        f"no isolation-free graph found in {MAX_DRAWS} draws (seed {seed})"
     )
 
 
@@ -334,20 +337,20 @@ _COUPLED_S = np.array(
 )
 
 
-def coupled_cell_fixture(seed: int, max_retries: int = 100) -> CoupledCellSystem:
+def coupled_cell_fixture(seed: int) -> CoupledCellSystem:
     """Seeded 4-cell benchmark system with epsilon = 0.1.
 
     Parameters are drawn uniformly (alpha in [-1, 0], beta in [1, 2],
-    gamma in [-1, 0]) and redrawn, boundedly, until the Koopman-lifted
-    linear system is localizable in every observable x_{i,1} vertex. The
-    x_{i,2} and x_{i,3} lifted vertices evolve autonomously, so no draw can
-    be localizable there; the filter covers the vertices one can actually
-    analyze from.
+    gamma in [-1, 0]) and redrawn, at most :data:`MAX_DRAWS` times, until
+    the Koopman-lifted linear system is localizable in every observable
+    x_{i,1} vertex. The x_{i,2} and x_{i,3} lifted vertices evolve
+    autonomously, so no draw can be localizable there; the filter covers
+    the vertices one can actually analyze from.
     """
     from . import localizability
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         sys = CoupledCellSystem(
             alpha=rng.uniform(-1.0, 0.0, 4),
             beta=rng.uniform(1.0, 2.0, 4),
@@ -362,5 +365,5 @@ def coupled_cell_fixture(seed: int, max_retries: int = 100) -> CoupledCellSystem
         ):
             return sys
     raise GenerationError(
-        f"no localizable parameter draw found in {max_retries} tries (seed {seed})"
+        f"no localizable parameter draw found in {MAX_DRAWS} draws (seed {seed})"
     )

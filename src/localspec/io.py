@@ -24,16 +24,31 @@ EXAMPLE1_NAMES = ("left", "middle", "right")
 
 
 def parse_entry(value) -> float:
-    """A JSON matrix entry: a number, or a "p/q" rational string."""
-    if isinstance(value, (int, float)):
+    """A JSON matrix entry: a number (not a boolean), or a "p/q" rational string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
-        return float(Fraction(value))
+        try:
+            return float(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"matrix entry {value!r} has a zero denominator") from None
     raise ValueError(f"matrix entries must be numbers or 'p/q' strings, got {value!r}")
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[parse_entry(v) for v in row] for row in rows], dtype=float)
+def _parse_matrix(rows, key) -> np.ndarray:
+    """The matrix under ``key``: a list of equal-length lists of entries."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{key!r} must be a list of rows, got {rows!r}")
+    parsed = []
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or (parsed and len(row) != len(parsed[0])):
+            width = f"{len(parsed[0])} " if parsed else ""
+            raise ValueError(f"{key!r} row {i} is {row!r}, not a list of {width}entries")
+        try:
+            parsed.append([parse_entry(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{key!r} row {i}: {exc}") from None
+    return np.array(parsed, dtype=float)
 
 
 def format_float(x: float) -> str:
@@ -97,7 +112,7 @@ def load_system(path) -> LinearSystem | CoupledCellSystem:
             alpha=np.array(data["alpha"], dtype=float),
             beta=np.array(data["beta"], dtype=float),
             gamma=np.array(data["gamma"], dtype=float),
-            coupling=_parse_matrix(data["S"]),
+            coupling=_parse_matrix(data["S"], "S"),
             epsilon=float(data["epsilon"]),
         )
     if kind == "linear":
@@ -105,7 +120,7 @@ def load_system(path) -> LinearSystem | CoupledCellSystem:
             raise ValueError(
                 "not a system file: key 'A' missing (adjacency files use 'W')"
             )
-        a = _parse_matrix(data["A"])
+        a = _parse_matrix(data["A"], "A")
         if "n" in data and int(data["n"]) != a.shape[0]:
             raise ValueError(f"declared n = {data['n']} but A is {a.shape[0]}x{a.shape[1]}")
         return LinearSystem(a)
@@ -121,7 +136,7 @@ def load_adjacency(path) -> np.ndarray:
     data = _load_object(path)
     if "W" not in data:
         raise ValueError("not an adjacency file: key 'W' missing (system files use 'A')")
-    w = _parse_matrix(data["W"])
+    w = _parse_matrix(data["W"], "W")
     if "n" in data and int(data["n"]) != w.shape[0]:
         raise ValueError(f"declared n = {data['n']} but W is {w.shape[0]}x{w.shape[1]}")
     return w

@@ -38,7 +38,6 @@ class SpectralReport:
     det_estimate: float
     bipartite: bool | None = None
     cluster_count: int | None = None
-    labels: dict[int, int] | None = None
 
     def to_json_dict(self) -> dict:
         def cplx(values):
@@ -53,9 +52,7 @@ class SpectralReport:
             "det_estimate": float(self.det_estimate),
             "bipartite": self.bipartite,
             "cluster_count": self.cluster_count,
-            "labels": None
-            if self.labels is None
-            else [{"vertex": v, "cluster": c} for v, c in sorted(self.labels.items())],
+            "labels": None,  # labels need every vertex's components (the cluster command)
         }
 
 
@@ -161,18 +158,21 @@ def local_eigenvector_components(
     return coeffs
 
 
-def detect_cluster_count(eigs: np.ndarray, max_k: int) -> int:
+def detect_cluster_count(eigs: np.ndarray, max_k: int | None = None) -> int:
     """Number of weakly coupled clusters read off the dominant spectral gap.
 
     Sorts the real parts of the dynamics eigenvalues descending (for
     Laplacian-driven dynamics of the (I - L)-type or wave form, dominant
     modes correspond to small Laplacian eigenvalues) and returns the k in
     [1, max_k) with the largest gap lam_k - lam_{k+1}, first index winning
-    ties.
+    ties. ``max_k`` defaults to half the spectrum, rounded up.
     """
+    values = np.sort(np.asarray(eigs).real)[::-1]
+    if values.size == 0:
+        raise ValueError("need at least one eigenvalue")
+    max_k = (values.size + 1) // 2 if max_k is None else max_k
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    values = np.sort(np.asarray(eigs).real)[::-1]
     top = min(max_k - 1, values.size - 1)
     if top < 1:
         return 1
@@ -204,7 +204,7 @@ def consensus_spectrum(
 
 
 def consensus_cluster_count(
-    spectra: list[np.ndarray] | dict[int, np.ndarray], max_k: int
+    spectra: list[np.ndarray] | dict[int, np.ndarray], max_k: int | None = None
 ) -> int:
     """Cluster count read off the gap of the :func:`consensus_spectrum`."""
     return detect_cluster_count(consensus_spectrum(spectra), max_k=max_k)
@@ -215,26 +215,20 @@ def decentralized_cluster_labels(components: dict[int, np.ndarray], k: int) -> d
 
     Each vertex looks only at its own component list: the signs of the real
     parts of entries 2..k form a (k-1)-bit pattern, and equal patterns mean
-    same cluster. Magnitudes within ``DEFAULT_SIGN_TOL`` of zero resolve to
-    '+'. Ids are canonicalized to 0..#patterns-1 by first appearance in
-    vertex order.
+    same cluster; at k = 1 the pattern is empty and every vertex gets 0.
+    Magnitudes within ``DEFAULT_SIGN_TOL`` of zero resolve to '+'. Ids are
+    canonicalized to 0..#patterns-1 by first appearance in vertex order.
     """
-    if k < 2:
-        raise ValueError("sign-pattern clustering needs k >= 2")
-    patterns: dict[int, tuple[bool, ...]] = {}
+    if k < 1:
+        raise ValueError(f"sign-pattern clustering needs k >= 1, got {k}")
+    ids: dict[tuple[bool, ...], int] = {}
+    labels: dict[int, int] = {}
     for vertex in sorted(components):
         comp = np.asarray(components[vertex]).reshape(-1)
         if comp.shape[0] < k:
             raise ValueError(f"vertex {vertex} supplies {comp.shape[0]} < k = {k} components")
-        reals = comp[1:k].real
-        patterns[vertex] = tuple(bool(r >= -DEFAULT_SIGN_TOL) for r in reals)
-    ids: dict[tuple[bool, ...], int] = {}
-    labels: dict[int, int] = {}
-    for vertex in sorted(patterns):
-        pat = patterns[vertex]
-        if pat not in ids:
-            ids[pat] = len(ids)
-        labels[vertex] = ids[pat]
+        pattern = tuple(bool(r >= -DEFAULT_SIGN_TOL) for r in comp[1:k].real)
+        labels[vertex] = ids.setdefault(pattern, len(ids))
     return labels
 
 
@@ -263,13 +257,8 @@ def analyze_vertex(
     bipartite = is_bipartite_spectrum(eigs) if check_bipartite else None
     components: dict[int, np.ndarray] = {}
     if compute_components:
-        components[vertex] = local_eigenvector_components(
-            u, eigs, svd_tol=svd_tol, distinct_tol=distinct_tol
-        )
-    cluster_count = None
-    if detect_clusters:
-        k_cap = max_k if max_k is not None else (s + 1) // 2
-        cluster_count = detect_cluster_count(eigs, max_k=k_cap)
+        components[vertex] = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
+    cluster_count = detect_cluster_count(eigs, max_k) if detect_clusters else None
     return SpectralReport(
         eigenvalues=eigs,
         vertex_components=components,
@@ -277,5 +266,4 @@ def analyze_vertex(
         det_estimate=det,
         bipartite=bipartite,
         cluster_count=cluster_count,
-        labels=None,
     )

@@ -136,6 +136,29 @@ class TestOptionValues:
         assert err["type"] == "ValueError" and "--k" in err["error"]
         assert not (tmp_path / "l.json").exists()
 
+    def test_non_integer_cluster_count_rejected(self, tmp_path, capsys):
+        traj = self._trajectory(tmp_path)
+        assert run("cluster", traj, "--k", "2.5", "--out", tmp_path / "l.json", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert "--k" in err["error"] and "'auto'" in err["error"] and "'2.5'" in err["error"]
+        assert not (tmp_path / "l.json").exists()
+
+    def test_non_integer_block_size_rejected(self, tmp_path, capsys):
+        assert run("generate", "sbm", "--sizes", "5,x", "--out", tmp_path / "w.json",
+                   "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "--sizes" in err["error"] and "'x'" in err["error"]
+
+    def test_non_numeric_initial_state_rejected(self, tmp_path, capsys):
+        sys_file = tmp_path / "id.json"
+        sys_file.write_text('{"n": 2, "A": [[1.0, 0.0], [0.0, 1.0]]}')
+        assert run("simulate", sys_file, "--steps", "2", "--x0", "1,abc",
+                   "--out", tmp_path / "t.csv", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "--x0" in err["error"] and "'abc'" in err["error"]
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("dim", ["0", "-2"])
     def test_random_dimension_below_one_rejected(self, tmp_path, capsys, dim):
         out = tmp_path / "r.json"
@@ -436,6 +459,14 @@ class TestDemos:
         spectrum_rows = (outdir / "laplacian_spectrum.csv").read_text().splitlines()
         assert spectrum_rows[0] == "index,mu_true,mu_estimated"
         assert len(spectrum_rows) == 16
+
+    def test_fig2_labels_equal_cluster_auto_on_its_trajectory(self, tmp_path):
+        outdir, out = tmp_path / "fig2", tmp_path / "labels.json"
+        assert run("demo", "fig2", "--seed", "1", "--outdir", outdir, "--quiet") == 0
+        assert run("cluster", outdir / "trajectory.csv", "--k", "auto", "--out", out,
+                   "--quiet") == 0
+        demo = json.loads((outdir / "labels.json").read_text())
+        assert demo.pop("x0") and demo == json.loads(out.read_text())
 
     def test_fig3_bundle(self, tmp_path):
         outdir = tmp_path / "fig3"

@@ -230,7 +230,7 @@ class TestGenerateSbm:
 
     def test_isolation_retries_exhausted(self):
         with pytest.raises(GenerationError):
-            generate_sbm([1, 2], 1.0, 0.0, 1.0, 1.0, seed=0, max_retries=5)
+            generate_sbm([1, 2], 1.0, 0.0, 1.0, 1.0, seed=0)
 
 
 class TestBipartiteFixture:

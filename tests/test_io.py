@@ -12,6 +12,7 @@ from localspec.io import (
     example1_system,
     load_adjacency,
     load_system,
+    _parse_matrix,
     load_trajectory,
     parse_entry,
     save_adjacency,
@@ -35,6 +36,34 @@ class TestEntryParsing:
             parse_entry("1/0")
         with pytest.raises(ValueError):
             parse_entry(None)
+
+
+class TestMatrixParsing:
+    @pytest.mark.parametrize("rows, row, what", [
+        ([[1, 2], [3]], 2, "not a list of 2 entries"),
+        ([1, 2], 1, "not a list of entries"),
+        ([[1, "1/0"]], 1, "zero denominator"),
+        ([[1.0, True]], 1, "got True"),
+    ])
+    def test_bad_row_named(self, rows, row, what):
+        with pytest.raises(ValueError, match=f"'A' row {row}.*{what}"):
+            _parse_matrix(rows, "A")
+
+    def test_matrix_that_is_not_a_list_rejected(self):
+        with pytest.raises(ValueError, match="'A' must be a list of rows, got 3"):
+            _parse_matrix(3, "A")
+
+    @pytest.mark.parametrize("value, what", [(True, "got True"), ("1/0", "zero denominator")])
+    def test_entry_rejected(self, value, what):
+        with pytest.raises(ValueError, match=what):
+            parse_entry(value)
+
+    @pytest.mark.parametrize("key, loader", [("A", load_system), ("W", load_adjacency)])
+    def test_ragged_file_rejected_naming_the_row(self, tmp_path, key, loader):
+        path = tmp_path / "ragged.json"
+        path.write_text(f'{{"{key}": [[1, 2], [3]]}}')
+        with pytest.raises(ValueError, match=f"'{key}' row 2 is \\[3\\]"):
+            loader(path)
 
 
 class TestSystemFiles:

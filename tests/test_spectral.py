@@ -217,6 +217,16 @@ class TestDetectClusterCount:
     def test_first_tie_wins(self):
         assert detect_cluster_count(np.array([1.0, 0.5, 0.0]), max_k=3) == 1
 
+    @pytest.mark.parametrize("size", [1, 2, 5, 6, 15])
+    def test_default_cap_is_half_the_spectrum_rounded_up(self, size):
+        eigs = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+        assert detect_cluster_count(eigs) == detect_cluster_count(eigs, max_k=(size + 1) // 2)
+
+    @pytest.mark.parametrize("max_k", [None, 3])
+    def test_empty_spectrum_rejected(self, max_k):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            detect_cluster_count(np.array([]), max_k=max_k)
+
 
 class TestConsensusClusterCount:
     def test_agrees_on_identical_spectra(self):
@@ -227,6 +237,14 @@ class TestConsensusClusterCount:
         base = np.array([1.0, 0.95, 0.9, 0.3, 0.2])
         noisy = [base + np.random.default_rng(s).normal(0, 0.01, 5) for s in range(8)]
         assert consensus_cluster_count(noisy, max_k=4) == 3
+
+    @pytest.mark.parametrize("size", [3, 6, 15])
+    def test_default_cap_is_half_the_spectrum_rounded_up(self, size):
+        rng = np.random.default_rng(size)
+        spectra = [rng.uniform(-1.0, 1.0, size) for _ in range(4)]
+        assert consensus_cluster_count(spectra) == consensus_cluster_count(
+            spectra, max_k=(size + 1) // 2
+        )
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
@@ -254,6 +272,15 @@ class TestDecentralizedLabels:
     def test_single_shared_pattern(self):
         comps = {v: np.array([1.0, 0.5, 0.5], dtype=complex) for v in range(1, 5)}
         assert set(decentralized_cluster_labels(comps, 3).values()) == {0}
+
+    def test_single_cluster_labels_every_vertex_zero(self):
+        comps = {v: np.array([1.0, (-1.0) ** v, -v], dtype=complex) for v in range(1, 6)}
+        assert decentralized_cluster_labels(comps, 1) == {v: 0 for v in range(1, 6)}
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_count_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            decentralized_cluster_labels({1: np.ones(3, dtype=complex)}, k)
 
     def test_near_zero_resolves_positive(self):
         comps = {
