@@ -304,7 +304,7 @@ def _demo_fig2(seed, outdir):
     mu_true = np.sort(np.linalg.eigvalsh(lap))
     mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
     io.write_table(outdir / "laplacian_spectrum.csv", ["index", "mu_true", "mu_estimated"],
-                   range(1, n + 1), zip(mu_true, mu_estimated))
+                   range(1, n + 1), np.column_stack([mu_true, mu_estimated]))
     vertices = sorted(comps)
     io.write_table(outdir / "components.csv", ["vertex", "c2_re", "c3_re"], vertices,
                    [comps[v][1:3].real for v in vertices])
@@ -336,7 +336,7 @@ def _demo_fig3(seed, outdir):
     model = embedding.fit_companion(u[: fit_steps + 1], n_lift)
     localized = embedding.predict(model, u[:n_lift], total + 1 - n_lift)
     io.write_table(outdir / "trajectory.csv", ["k", "x11_nonlinear", "x11_localized"],
-                   range(total + 1), zip(u, localized))
+                   range(total + 1), np.column_stack([u, localized]))
     run_max = np.maximum.accumulate(np.abs(u))
     max_err = float(np.max(np.abs(localized - u) / np.maximum(run_max, 1e-300)))
     comparison = {

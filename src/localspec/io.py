@@ -2,10 +2,10 @@
 
 Every file the package writes goes through :func:`write_json` (indent-2 JSON
 with a trailing newline) or :func:`write_table` (CSV with an integer key
-column). Matrix entries in JSON may be plain doubles or exact-rational
-strings like "3/5"; rationals are parsed via fractions and rounded once to
-the nearest double, so shipped fixtures are unambiguous. CSV doubles are
-printed with 17 significant digits for bit-exact round trips.
+column). JSON matrix entries and coupled-system fields may be plain doubles
+or exact-rational strings like "3/5"; rationals are parsed via fractions and
+rounded once to the nearest double, so shipped fixtures are unambiguous. CSV
+doubles are printed with 17 significant digits for bit-exact round trips.
 """
 
 from __future__ import annotations
@@ -24,15 +24,30 @@ EXAMPLE1_NAMES = ("left", "middle", "right")
 
 
 def parse_entry(value) -> float:
-    """A JSON matrix entry: a number (not a boolean), or a "p/q" rational string."""
+    """A JSON entry: a number (not a boolean), or a "p/q" rational string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
             return float(Fraction(value))
         except ZeroDivisionError:
-            raise ValueError(f"matrix entry {value!r} has a zero denominator") from None
-    raise ValueError(f"matrix entries must be numbers or 'p/q' strings, got {value!r}")
+            raise ValueError(f"entry {value!r} has a zero denominator") from None
+    raise ValueError(f"entries must be numbers or 'p/q' strings, got {value!r}")
+
+
+def _parse_field(value, where, entry=None) -> float:
+    """:func:`parse_entry`; an error names ``where`` and the 1-based ``entry``."""
+    try:
+        return parse_entry(value)
+    except ValueError as exc:
+        at = where if entry is None else f"{where} entry {entry}"
+        raise ValueError(f"{at}: {exc}") from None
+
+
+def _parse_entries(values, where) -> list[float]:
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a list of entries, got {values!r}")
+    return [_parse_field(v, where, i) for i, v in enumerate(values, start=1)]
 
 
 def _parse_matrix(rows, key) -> np.ndarray:
@@ -44,15 +59,19 @@ def _parse_matrix(rows, key) -> np.ndarray:
         if not isinstance(row, list) or (parsed and len(row) != len(parsed[0])):
             width = f"{len(parsed[0])} " if parsed else ""
             raise ValueError(f"{key!r} row {i} is {row!r}, not a list of {width}entries")
-        try:
-            parsed.append([parse_entry(v) for v in row])
-        except ValueError as exc:
-            raise ValueError(f"{key!r} row {i}: {exc}") from None
+        parsed.append(_parse_entries(row, f"{key!r} row {i}"))
     return np.array(parsed, dtype=float)
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _load_matrix(data, key) -> np.ndarray:
+    """The matrix under ``key``, checked against a declared integer ``n``."""
+    m = _parse_matrix(data[key], key)
+    n = data.get("n", m.shape[0])
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    if n != m.shape[0]:
+        raise ValueError(f"declared n = {n} but {key} is {m.shape[0]}x{m.shape[1]}")
+    return m
 
 
 def json_text(payload) -> str:
@@ -65,30 +84,31 @@ def write_json(path, payload) -> None:
 
 
 def write_table(path, header, keys, values) -> None:
-    """CSV of ``header``, then one row per key: the integer key, then that
-    row of ``values`` printed by :func:`format_float`."""
+    """CSV of ``header``, then one CRLF-ended row per key: the integer key, then
+    that row of the 2-D table ``values``, each float printed as ``%.17g``."""
+    values, keys = np.asarray(values, dtype=float), list(keys)
+    if values.ndim != 2:
+        raise ValueError(f"table values must be 2-D, got shape {values.shape}")
+    rows, columns = values.shape
+    if len(header) != 1 + columns or len(keys) != rows:
+        raise ValueError(f"a {rows}x{columns} table needs {1 + columns} header names and "
+                         f"{rows} keys, got {len(header)} and {len(keys)}")
+    line = "%d" + ",%.17g" * columns + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for key, row in zip(keys, values):
-            writer.writerow([key] + [format_float(v) for v in row])
-
-
-def _matrix_payload(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in a]
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % (key, *row.tolist()) for key, row in zip(keys, values))
 
 
 def save_system(path, system: LinearSystem | CoupledCellSystem) -> None:
     if isinstance(system, LinearSystem):
-        payload = {"kind": "linear", "n": system.n, "A": _matrix_payload(system.a)}
+        payload = {"kind": "linear", "n": system.n, "A": system.a.tolist()}
     elif isinstance(system, CoupledCellSystem):
         payload = {
-            "kind": "coupled",
-            "d": system.d,
-            "alpha": [float(v) for v in system.alpha],
-            "beta": [float(v) for v in system.beta],
-            "gamma": [float(v) for v in system.gamma],
-            "S": _matrix_payload(system.coupling),
+            "kind": "coupled", "d": system.d,
+            "alpha": system.alpha.tolist(),
+            "beta": system.beta.tolist(),
+            "gamma": system.gamma.tolist(),
+            "S": system.coupling.tolist(),
             "epsilon": float(system.epsilon),
         }
     else:
@@ -109,37 +129,27 @@ def load_system(path) -> LinearSystem | CoupledCellSystem:
     kind = data.get("kind", "linear")
     if kind == "coupled":
         return CoupledCellSystem(
-            alpha=np.array(data["alpha"], dtype=float),
-            beta=np.array(data["beta"], dtype=float),
-            gamma=np.array(data["gamma"], dtype=float),
+            **{key: _parse_entries(data[key], repr(key)) for key in ("alpha", "beta", "gamma")},
             coupling=_parse_matrix(data["S"], "S"),
-            epsilon=float(data["epsilon"]),
+            epsilon=_parse_field(data["epsilon"], "'epsilon'"),
         )
     if kind == "linear":
         if "A" not in data:
-            raise ValueError(
-                "not a system file: key 'A' missing (adjacency files use 'W')"
-            )
-        a = _parse_matrix(data["A"], "A")
-        if "n" in data and int(data["n"]) != a.shape[0]:
-            raise ValueError(f"declared n = {data['n']} but A is {a.shape[0]}x{a.shape[1]}")
-        return LinearSystem(a)
+            raise ValueError("not a system file: key 'A' missing (adjacency files use 'W')")
+        return LinearSystem(_load_matrix(data, "A"))
     raise ValueError(f"unknown system kind {kind!r}")
 
 
 def save_adjacency(path, w: np.ndarray) -> None:
     w = np.asarray(w, dtype=float)
-    write_json(path, {"n": w.shape[0], "W": _matrix_payload(w)})
+    write_json(path, {"n": w.shape[0], "W": w.tolist()})
 
 
 def load_adjacency(path) -> np.ndarray:
     data = _load_object(path)
     if "W" not in data:
         raise ValueError("not an adjacency file: key 'W' missing (system files use 'A')")
-    w = _parse_matrix(data["W"], "W")
-    if "n" in data and int(data["n"]) != w.shape[0]:
-        raise ValueError(f"declared n = {data['n']} but W is {w.shape[0]}x{w.shape[1]}")
-    return w
+    return _load_matrix(data, "W")
 
 
 def save_trajectory(path, states: np.ndarray) -> None:

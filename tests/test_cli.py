@@ -336,6 +336,18 @@ class TestLocalizability:
         assert run("localizability", sys_file, "--out", out, "--quiet") == 0
         assert json.loads(out.read_text())["localizable_everywhere"] is True
 
+    def test_coupled_epsilon_null_is_a_value_error(self, tmp_path, capsys):
+        sys_file = tmp_path / "coupled.json"
+        assert run("generate", "coupled", "--out", sys_file, "--quiet") == 0
+        payload = json.loads(sys_file.read_text())
+        sys_file.write_text(json.dumps({**payload, "epsilon": None}))
+        out = tmp_path / "rep.json"
+        assert run("localizability", sys_file, "--all", "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "'epsilon': entries must be numbers or 'p/q' strings, got None",
+                       "type": "ValueError"}
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_scalar_geometric(self, tmp_path):

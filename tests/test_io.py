@@ -1,9 +1,13 @@
 """System/adjacency JSON and trajectory CSV round trips."""
 
+import csv
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from localspec import CoupledCellSystem, LinearSystem, coupled_cell_fixture, generate_sbm
 from localspec.io import (
@@ -18,6 +22,7 @@ from localspec.io import (
     save_adjacency,
     save_system,
     save_trajectory,
+    write_table,
 )
 
 
@@ -97,6 +102,73 @@ class TestSystemFiles:
         path.write_text(text)
         with pytest.raises(ValueError, match="expected a JSON object"):
             load_system(path)
+
+
+def _coupled_payload(tmp_path, **changes):
+    """A saved coupled_cell_fixture(0) as a JSON object, with ``changes`` applied."""
+    save_system(tmp_path / "fixture.json", coupled_cell_fixture(0))
+    return {**json.loads((tmp_path / "fixture.json").read_text()), **changes}
+
+
+class TestCoupledFields:
+    """Per-cell vectors and epsilon go through parse_entry, naming key and entry."""
+
+    def test_rational_strings_parse_exactly(self, tmp_path):
+        d = coupled_cell_fixture(0).d
+        path = tmp_path / "coupled.json"
+        payload = _coupled_payload(tmp_path, alpha=["1/3"] * d, epsilon="1/10")
+        path.write_text(json.dumps(payload))
+        loaded = load_system(path)
+        assert np.array_equal(loaded.alpha, np.full(d, float(Fraction(1, 3))))
+        assert loaded.epsilon == float(Fraction(1, 10))
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("alpha", True, "'alpha' entry 2: .*got True"),
+        ("beta", [1, 2], r"'beta' entry 2: .*got \[1, 2\]"),
+        ("gamma", "1/0", "'gamma' entry 2: .*zero denominator"),
+        ("alpha", "x", "'alpha' entry 2: .*'x'"),
+    ])
+    def test_bad_entry_named(self, tmp_path, key, value, what):
+        entries = _coupled_payload(tmp_path)[key]
+        entries[1] = value
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(_coupled_payload(tmp_path, **{key: entries})))
+        with pytest.raises(ValueError, match=what):
+            load_system(path)
+
+    @pytest.mark.parametrize("value, what", [
+        (True, "got True"), (None, "got None"), ("1/0", "zero denominator"), ([0.1], "got"),
+    ])
+    def test_bad_epsilon_named(self, tmp_path, value, what):
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(_coupled_payload(tmp_path, epsilon=value)))
+        with pytest.raises(ValueError, match=f"'epsilon': .*{what}"):
+            load_system(path)
+
+    def test_vector_that_is_not_a_list_rejected(self, tmp_path):
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(_coupled_payload(tmp_path, gamma=0.5)))
+        with pytest.raises(ValueError, match="'gamma' must be a list of entries, got 0.5"):
+            load_system(path)
+
+
+class TestDeclaredN:
+    @pytest.mark.parametrize("key, loader", [("A", load_system), ("W", load_adjacency)])
+    @pytest.mark.parametrize("n", [2.7, 2.0, "x", "2", True, None])
+    def test_non_integer_n_rejected(self, tmp_path, key, loader, n):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, key: [[1.0, 0.0], [0.0, 1.0]]}))
+        with pytest.raises(ValueError, match="'n' must be an integer, got"):
+            loader(path)
+
+    @pytest.mark.parametrize("key, loader", [("A", load_system), ("W", load_adjacency)])
+    def test_integer_n_checked_against_the_matrix(self, tmp_path, key, loader):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, key: [[1.0, 0.0], [0.0, 1.0]]}))
+        loader(path)
+        path.write_text(json.dumps({"n": 3, key: [[1.0, 0.0], [0.0, 1.0]]}))
+        with pytest.raises(ValueError, match=f"declared n = 3 but {key} is 2x2"):
+            loader(path)
 
 
 class TestExample1Fixtures:
@@ -210,3 +282,63 @@ class TestTrajectoryCsv:
         path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,{value}\n2,{value},6.0\n")
         with pytest.raises(ValueError, match=f"line 3 holds {what}"):
             load_trajectory(path)
+
+
+def _oracle_table(path, header, keys, values):
+    """The earlier writer: csv.writer with format(x, ".17g") per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key, row in zip(keys, values):
+            writer.writerow([key] + [format(float(v), ".17g") for v in row])
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(EDGE_DOUBLES))
+
+
+@st.composite
+def tables(draw):
+    """(rows, columns) float tables of small size, with edge doubles mixed in."""
+    rows, columns = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(doubles, min_size=rows * columns, max_size=rows * columns))
+    return np.array(cells, dtype=float).reshape(rows, columns)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("header, keys, values, what", [
+        (["k", "x1"], range(3), np.zeros(3), r"must be 2-D, got shape \(3,\)"),
+        (["k", "x1"], range(2), np.zeros((3, 1)), "needs 2 header names and 3 keys, got 2 and 2"),
+        (["k", "x1", "x2"], range(3), np.zeros((3, 1)),
+         "needs 2 header names and 3 keys, got 3 and 3"),
+    ], ids=["1-D", "short keys", "wide header"])
+    def test_shape_mismatch_rejected(self, tmp_path, header, keys, values, what):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=what):
+            write_table(path, header, keys, values)
+        assert not path.exists()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=tables(), numpy_keys=st.booleans(), data=st.data())
+    def test_bytes_match_the_csv_writer(self, tmp_path, values, numpy_keys, data):
+        keys = data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                  min_size=len(values), max_size=len(values)))
+        if numpy_keys:
+            keys = np.array(keys, dtype=np.int64)
+        header = ["k"] + data.draw(st.lists(st.text('ab,"\n ', max_size=3),
+                                            min_size=values.shape[1],
+                                            max_size=values.shape[1]))
+        write_table(tmp_path / "new.csv", header, keys, values)
+        _oracle_table(tmp_path / "old.csv", header, keys, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(states=tables())
+    def test_trajectory_round_trip_is_bit_exact(self, tmp_path, states):
+        path = tmp_path / "traj.csv"
+        save_trajectory(path, states)
+        assert np.array_equal(load_trajectory(path).view(np.int64), states.view(np.int64))
