@@ -47,14 +47,20 @@ def lstsq_min_norm(
 ) -> tuple[np.ndarray, int, float]:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
 
-    ``b`` is a vector. Works for real and complex data. Returns
-    ``(x, rank, residual_norm)`` where ``residual_norm = ||a @ x - b||``.
-    At rank 0 the empty products give the zero solution.
+    ``b`` is a vector; real and complex data of any shape work. ``[a | b]``
+    is QR-factored and only the leading n x n block T of its triangle goes
+    through the SVD (Chan's R-SVD; n = columns of ``a``). T has the singular
+    values of ``a``, so the rank cut and the solution are those of ``a``.
+    Returns ``(x, rank, residual_norm)``; ``residual_norm = ||a @ x - b||``
+    is read off the triangle's last column. At rank 0 the empty products
+    give the zero solution.
     """
     a = np.asarray(a)
-    b = np.asarray(b)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    n = a.shape[1]
+    r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    t, c = r[:n, :n], r[:n, n]
+    u, s, vh = np.linalg.svd(t, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
-    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
-    residual = float(np.linalg.norm(a @ x - b))
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
+    residual = float(np.hypot(np.linalg.norm(t @ x - c), np.linalg.norm(r[n:, n])))
     return x, rank, residual

@@ -93,7 +93,10 @@ def fit_companion(
     matrix of :func:`hankel_matrices` and the target its last shifted row.
     The series is scaled to unit max-abs first so decaying trajectories do
     not underflow the regression; the weights are invariant under that
-    scaling.
+    scaling. Each row of [design | target] is then divided by its own
+    max-abs: the rows are exact linear relations, so the exact solution is
+    unchanged, but the largest rows of a growing or decaying series no
+    longer decide the rank cut alone. ``residual`` is in data units.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if s < 1:
@@ -102,8 +105,12 @@ def fit_companion(
         raise ValueError(f"need at least 2s = {2 * s} observations, got {u.shape[0]}")
     scale = float(np.max(np.abs(u))) or 1.0  # an all-zero series fits zero weights
     x, y = hankel_matrices(u / scale, s)
-    weights, _, residual = lstsq_min_norm(np.ascontiguousarray(x.T), y[-1], svd_tol)
-    return CompanionModel(s=s, weights=weights, residual=residual * scale, scale=scale)
+    design, target = x.T, y[-1]
+    rows = np.maximum(np.max(np.abs(design), axis=1), np.abs(target))
+    rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
+    weights, _, _ = lstsq_min_norm(design / rows[:, None], target / rows, svd_tol)
+    residual = float(np.linalg.norm(design @ weights - target)) * scale
+    return CompanionModel(s=s, weights=weights, residual=residual, scale=scale)
 
 
 def exact_companion(sys: LinearSystem) -> CompanionModel:

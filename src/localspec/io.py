@@ -85,8 +85,12 @@ def write_json(path, payload) -> None:
 
 def write_table(path, header, keys, values) -> None:
     """CSV of ``header``, then one CRLF-ended row per key: the integer key, then
-    that row of the 2-D table ``values``, each float printed as ``%.17g``."""
-    values, keys = np.asarray(values, dtype=float), list(keys)
+    that row of the 2-D table ``values``, each float printed as ``%.17g``.
+    A complex table is rejected: the caller splits it into real columns."""
+    values, keys = np.asarray(values), list(keys)
+    if np.iscomplexobj(values):
+        raise ValueError("table values must be real, got a complex table")
+    values = values.astype(float)
     if values.ndim != 2:
         raise ValueError(f"table values must be 2-D, got shape {values.shape}")
     rows, columns = values.shape

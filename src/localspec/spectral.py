@@ -125,15 +125,18 @@ def local_eigenvector_components(
 
     Solves the row regression u(k) = sum_l c_l lam_l^k over all observed k
     (a Vandermonde system in the eigenvalues) by minimum-norm least squares.
-    Requires pairwise-distinct eigenvalues. For a real trajectory each
-    coefficient is averaged with the conjugate of its partner's (the
-    eigenvalue nearest its conjugate), and the later of two partners takes
-    the conjugate of that average. On a spectrum closed under conjugation, as
-    ``eigvals`` of a real matrix returns, partnership is mutual, so conjugate
-    pairs get exact conjugates and real eigenvalues get real coefficients.
+    Requires pairwise-distinct eigenvalues, a real series and a spectrum
+    closed under conjugation, as ``eigvals`` of a real matrix returns. The
+    fit is real: a real eigenvalue gives the column lam^k and a conjugate
+    pair the columns sqrt(2) Re lam^k and sqrt(2) Im lam^k of its upper
+    member, a unitary change of the pair's complex columns that keeps the
+    singular values, the rank cut and the minimum-norm solution. Pairs get
+    exact conjugate coefficients and real eigenvalues real ones.
     """
     u = np.asarray(u).reshape(-1)
     eigs = np.asarray(eigs, dtype=complex).reshape(-1)
+    if np.iscomplexobj(u):
+        raise ValueError("eigenvector components need a real series")
     if eigs.shape[0] == 0:
         raise ValueError("need at least one eigenvalue")
     if u.shape[0] <= eigs.shape[0]:
@@ -147,14 +150,19 @@ def local_eigenvector_components(
             f"eigenvalues {eigs[i]} and {eigs[j]} coincide within "
             f"{distinct_tol:g}; the Vandermonde system is rank-deficient"
         )
-    # Column k of the Vandermonde system is (lam_1^k, ..., lam_n^k); solving
-    # its transpose against u recovers the coefficient row.
-    powers = np.vander(eigs, N=u.shape[0], increasing=True)
-    coeffs, _, _ = lstsq_min_norm(powers.T, u.astype(complex), svd_tol)
-    if np.isrealobj(u) or np.max(np.abs(np.imag(u))) == 0.0:
-        partner = np.argmin(np.abs(eigs[:, None] - np.conj(eigs)), axis=1)
-        avg = 0.5 * (coeffs + np.conj(coeffs[partner]))
-        coeffs = np.where(np.arange(eigs.size) <= partner, avg, np.conj(avg[partner]))
+    partner = np.argmin(np.abs(eigs[:, None] - np.conj(eigs)), axis=1)
+    if not np.array_equal(eigs[partner], np.conj(eigs)):
+        raise ValueError("the spectrum is not closed under conjugation")
+    real, upper = np.flatnonzero(eigs.imag == 0), np.flatnonzero(eigs.imag > 0)
+    r, p = real.size, upper.size
+    powers = np.vander(eigs[np.r_[real, upper]], N=u.shape[0], increasing=True)
+    pairs = np.sqrt(2.0) * powers[r:]
+    y, _, _ = lstsq_min_norm(np.vstack([powers[:r].real, pairs.real, pairs.imag]).T, u, svd_tol)
+    coeffs = np.empty(eigs.size, dtype=complex)
+    coeffs[real] = y[:r]
+    coeffs[upper] = (y[r : r + p] - 1j * y[r + p :]) * np.sqrt(0.5)
+    lower = eigs.imag < 0
+    coeffs[lower] = np.conj(coeffs[partner[lower]])
     return coeffs
 
 

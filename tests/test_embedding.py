@@ -8,6 +8,7 @@ from conftest import growth_normalized_error, random_localizable_system, random_
 from localspec import (
     LinearSystem,
     NotLocalizableError,
+    bipartite_fixture,
     exact_companion,
     fit_companion,
     hankel_matrices,
@@ -82,6 +83,24 @@ class TestFitCompanion:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             fit_companion(np.ones(5), s=3)
+
+    def test_residual_in_data_units(self):
+        u = 1e3 * np.random.default_rng(4).standard_normal(30) * 1.2 ** np.arange(30)
+        model = fit_companion(u, 3)
+        x, y = hankel_matrices(u, 3)
+        assert model.residual == pytest.approx(np.linalg.norm(x.T @ model.weights - y[-1]),
+                                               rel=1e-12)
+
+    @pytest.mark.parametrize("steps", [24, 60, 120])
+    def test_growing_bipartite_series_keeps_its_spectrum(self, steps):
+        # the fixture's largest modes grow, so without row equilibration the
+        # late rows dominate the rank cut and the error was 1.06 at 60 steps
+        sys = bipartite_fixture()
+        u = simulate_local(sys, np.random.default_rng(7).standard_normal(6), steps, 1)
+        est = local_eigenvalues(fit_companion(u, 6))
+        dist = np.abs(est[:, None] - np.linalg.eigvals(sys.a)[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-8
 
 
 class TestExactCompanion:

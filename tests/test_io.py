@@ -320,6 +320,12 @@ class TestWriteTable:
             write_table(path, header, keys, values)
         assert not path.exists()
 
+    def test_complex_table_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="must be real"):
+            write_table(path, ["k", "x1"], [0], np.array([[1 + 2j]]))
+        assert not path.exists()
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=tables(), numpy_keys=st.booleans(), data=st.data())

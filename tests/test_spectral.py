@@ -163,6 +163,18 @@ class TestEigenvectorComponents:
         c = local_eigenvector_components(np.zeros(9), np.array([0.5 + 0.5j, 0.5 - 0.5j]))
         assert np.array_equal(c.view(np.uint64), np.conj(c[::-1]).view(np.uint64))
 
+    def test_complex_series_rejected(self):
+        with pytest.raises(ValueError, match="need a real series"):
+            local_eigenvector_components(np.ones(5, dtype=complex), np.array([0.5]))
+
+    @pytest.mark.parametrize("eigs", [
+        [0.5 + 0.5j, 0.3],
+        [0.5 + 0.5j, 0.5 - 0.5000001j],
+    ], ids=["unpaired", "inexact partner"])
+    def test_spectrum_not_closed_under_conjugation_rejected(self, eigs):
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            local_eigenvector_components(np.ones(8), np.array(eigs))
+
     def test_repeated_eigenvalues_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             local_eigenvector_components(np.ones(5), np.array([0.5, 0.5 + 1e-12]))
