@@ -42,18 +42,15 @@ def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def lstsq_min_norm(
-    a: np.ndarray, b: np.ndarray, rel_tol: float
-) -> tuple[np.ndarray, int, float]:
+def lstsq_min_norm(a: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
 
     ``b`` is a vector; real and complex data of any shape work. ``[a | b]``
     is QR-factored and only the leading n x n block T of its triangle goes
     through the SVD (Chan's R-SVD; n = columns of ``a``). T has the singular
     values of ``a``, so the rank cut and the solution are those of ``a``.
-    Returns ``(x, rank, residual_norm)``; ``residual_norm = ||a @ x - b||``
-    is read off the triangle's last column. At rank 0 the empty products
-    give the zero solution.
+    Returns ``(x, rank)``. At rank 0 the empty products give the zero
+    solution.
     """
     a = np.asarray(a)
     n = a.shape[1]
@@ -62,5 +59,4 @@ def lstsq_min_norm(
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
     x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
-    residual = float(np.hypot(np.linalg.norm(t @ x - c), np.linalg.norm(r[n:, n])))
-    return x, rank, residual
+    return x, rank

@@ -108,7 +108,7 @@ def fit_companion(
     design, target = x.T, y[-1]
     rows = np.maximum(np.max(np.abs(design), axis=1), np.abs(target))
     rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
-    weights, _, _ = lstsq_min_norm(design / rows[:, None], target / rows, svd_tol)
+    weights, _ = lstsq_min_norm(design / rows[:, None], target / rows, svd_tol)
     residual = float(np.linalg.norm(design @ weights - target)) * scale
     return CompanionModel(s=s, weights=weights, residual=residual, scale=scale)
 

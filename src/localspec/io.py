@@ -132,6 +132,9 @@ def load_system(path) -> LinearSystem | CoupledCellSystem:
     data = _load_object(path)
     kind = data.get("kind", "linear")
     if kind == "coupled":
+        missing = [key for key in ("alpha", "beta", "gamma", "S", "epsilon") if key not in data]
+        if missing:
+            raise ValueError(f"coupled system file: key(s) {', '.join(map(repr, missing))} missing")
         return CoupledCellSystem(
             **{key: _parse_entries(data[key], repr(key)) for key in ("alpha", "beta", "gamma")},
             coupling=_parse_matrix(data["S"], "S"),

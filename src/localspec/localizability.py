@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL
 from ._linalg import numeric_rank, singular_values
@@ -152,9 +150,16 @@ def hautus_localizable(
 
 
 def is_strongly_connected(graph: DependencyGraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    if graph.vertex_count == 1:
-        return True
-    adj = scipy.sparse.csr_matrix(graph.adjacency())
-    count, _ = connected_components(adj, directed=True, connection="strong")
-    return count == 1
+    """True iff every ordered vertex pair is joined by a directed path.
+
+    Equivalently, vertex 1 reaches every vertex both along the edges and
+    against them; each sweep grows the reached set until it stops growing.
+    """
+    adj = graph.adjacency() != 0
+    for step in (adj, adj.T):
+        seen = np.arange(graph.vertex_count) == 0
+        while not np.array_equal(grown := seen | step[seen].any(axis=0), seen):
+            seen = grown
+        if not seen.all():
+            return False
+    return True

@@ -157,7 +157,7 @@ def local_eigenvector_components(
     r, p = real.size, upper.size
     powers = np.vander(eigs[np.r_[real, upper]], N=u.shape[0], increasing=True)
     pairs = np.sqrt(2.0) * powers[r:]
-    y, _, _ = lstsq_min_norm(np.vstack([powers[:r].real, pairs.real, pairs.imag]).T, u, svd_tol)
+    y, _ = lstsq_min_norm(np.vstack([powers[:r].real, pairs.real, pairs.imag]).T, u, svd_tol)
     coeffs = np.empty(eigs.size, dtype=complex)
     coeffs[real] = y[:r]
     coeffs[upper] = (y[r : r + p] - 1j * y[r + p :]) * np.sqrt(0.5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from localspec import LinearSystem, is_localizable
+from localspec import LinearSystem, is_localizable, simulate
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -38,6 +38,18 @@ def random_localizable_system(seed: int, n: int | None = None) -> LinearSystem:
         sys = LinearSystem(a)
         if is_localizable(sys, 1).localizable:
             return sys
+
+
+def growing_states() -> np.ndarray:
+    """2001 states of a radius-1.3 gaussian system on 10 vertices.
+
+    Every vertex reaches about 1e228, far above the 1e154 whose square
+    overflows a float.
+    """
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((10, 10))
+    a *= 1.3 / spectral_radius(a)
+    return simulate(LinearSystem(a), rng.standard_normal(10), 2000).states
 
 
 def growth_normalized_error(pred: np.ndarray, true: np.ndarray) -> float:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import growing_states
 from localspec import normalized_laplacian
 from localspec.cli import build_parser, main
 from localspec.io import example1_path, load_system, load_trajectory, save_trajectory
@@ -13,6 +18,15 @@ from localspec.io import example1_path, load_system, load_trajectory, save_traje
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_fresh(*argv):
+    """``python argv...`` in a new interpreter that imports this checkout's localspec."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 # every file a demo writes besides its manifest
@@ -505,3 +519,33 @@ class TestDemos:
         m1.pop("parameters"), m2.pop("parameters")  # outdir path differs
         m1.pop("outputs"), m2.pop("outputs")
         assert m1 == m2
+
+
+class TestFreshInterpreter:
+    @pytest.mark.parametrize("command", [["analyze", "--vertex", "10"], ["cluster"]],
+                             ids=["analyze", "cluster"])
+    def test_series_beyond_1e154_leaves_stderr_empty(self, tmp_path, command):
+        traj = tmp_path / "grow.csv"
+        save_trajectory(traj, growing_states())
+        done = run_fresh("-m", "localspec.cli", command[0], traj, *command[1:],
+                         "--out", tmp_path / "out.json", "--quiet")
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        script = """
+import sys
+from localspec.cli import main
+d = sys.argv[1]
+for argv in [
+    ["generate", "bipartite", "--out", f"{d}/bip.json"],
+    ["simulate", f"{d}/bip.json", "--steps", "24", "--x0-seed", "7", "--out", f"{d}/t.csv"],
+    ["localizability", f"{d}/bip.json", "--out", f"{d}/loc.json"],
+    ["analyze", f"{d}/t.csv", "--out", f"{d}/rep.json"],
+    ["cluster", f"{d}/t.csv", "--out", f"{d}/labels.json"],
+    *(["demo", fig, "--outdir", f"{d}/{fig}"] for fig in ("fig1", "fig2", "fig3")),
+]:
+    assert main([*argv, "--quiet"]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        done = run_fresh("-c", script, tmp_path)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,18 @@ class TestCoupledFields:
         path = tmp_path / "coupled.json"
         path.write_text(json.dumps(_coupled_payload(tmp_path, gamma=0.5)))
         with pytest.raises(ValueError, match="'gamma' must be a list of entries, got 0.5"):
+            load_system(path)
+
+    @pytest.mark.parametrize("absent", [["S"], ["epsilon"], ["alpha", "S", "epsilon"]],
+                             ids=["S", "epsilon", "three"])
+    def test_missing_keys_named(self, tmp_path, absent):
+        payload = _coupled_payload(tmp_path)
+        for key in absent:
+            del payload[key]
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(payload))
+        named = ", ".join(map(repr, absent))
+        with pytest.raises(ValueError, match=re.escape(f"key(s) {named} missing")):
             load_system(path)
 
 

@@ -50,11 +50,7 @@ class TestLstsqMinNorm:
     @given(problem=planted_problems())
     def test_matches_truncated_svd(self, problem):
         a, b, planted = problem
-        x, rank, residual = lstsq_min_norm(a, b, REL_TOL)
+        x, rank = lstsq_min_norm(a, b, REL_TOL)
         ref, ref_rank = truncated_svd_oracle(a, b, REL_TOL)
         assert rank == ref_rank == planted
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        direct = np.linalg.norm(a @ x - b)
-        rounding = 10 * np.finfo(float).eps * sum(a.shape) * (
-            np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-        assert abs(residual - direct) <= rounding

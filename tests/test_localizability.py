@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import random_system
 from localspec import (
+    DependencyGraph,
     LinearSystem,
     bipartite_fixture,
     dependency_graph,
@@ -140,7 +145,40 @@ class TestHautus:
         assert not hautus_localizable(LinearSystem(a), 1)
 
 
+def strongly_connected_oracle(graph):
+    """One strong component by scipy's csgraph: the reference."""
+    adj = scipy.sparse.csr_matrix(graph.adjacency())
+    count, _ = connected_components(adj, directed=True, connection="strong")
+    return count == 1
+
+
+@st.composite
+def digraphs(draw):
+    """Random-density digraphs and the edge cases: no edges, self-loops only,
+    and one-way chains, optionally closed into a cycle."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "empty", "self-loops", "chain"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        hits = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+        edges = {(int(j) + 1, int(i) + 1) for j, i in zip(*np.nonzero(hits))}
+    elif kind == "empty":
+        edges = set()
+    elif kind == "self-loops":
+        edges = {(v, v) for v in range(1, n + 1)}
+    else:
+        edges = {(v, v + 1) for v in range(1, n)}
+        if draw(st.booleans()):
+            edges.add((n, 1))
+    return DependencyGraph(vertex_count=n, edges=frozenset(edges))
+
+
 class TestStrongConnectivity:
+    @settings(max_examples=400, deadline=None)
+    @given(graph=digraphs())
+    def test_matches_scipy_strong_components(self, graph):
+        assert is_strongly_connected(graph) == strongly_connected_oracle(graph)
+
     def test_example1_left_not_strongly_connected(self):
         # reachability oracle: vertex 3 has no outgoing edge except its
         # self-loop, so nothing returns from it

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_localizable_system, random_system
+from conftest import growing_states, random_localizable_system, random_system
 from localspec import (
     DegenerateSpectrumError,
     LinearSystem,
@@ -345,6 +345,14 @@ class TestDecentralizedLabels:
 
 
 class TestAnalyzeVertex:
+    def test_series_beyond_1e154_analyzed_without_overflow(self):
+        # pytest turns an overflow RuntimeWarning into a failure here
+        states = growing_states()
+        for v in range(1, states.shape[1] + 1):
+            report = analyze_vertex(states[:, v - 1], states.shape[1], vertex=v)
+            assert np.all(np.isfinite(report.eigenvalues))
+            assert np.all(np.isfinite(report.vertex_components[v]))
+
     def test_bipartite_fixture_flag(self):
         fix = bipartite_fixture()
         x0 = np.random.default_rng(42).standard_normal(6)
