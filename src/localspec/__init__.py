@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 
 from .dynsys import (
     CoupledCellSystem,
-    DependencyGraph,
     GenerationError,
     LinearSystem,
     Trajectory,
     bipartite_fixture,
     build_wave_system,
     coupled_cell_fixture,
-    dependency_graph,
     generate_sbm,
     koopman_lift,
     lift_state,
@@ -31,21 +29,20 @@ from .dynsys import (
 )
 from .embedding import (
     CompanionModel,
-    NotLocalizableError,
     exact_companion,
     fit_companion,
     hankel_matrices,
     predict,
-    recover_hidden_state,
 )
 from .localizability import (
     LocalizabilityReport,
+    NotLocalizableError,
     hautus_localizable,
     is_localizable,
     is_strongly_connected,
     localizable_everywhere,
-    permute_vertex_first,
     r_matrix,
+    recover_hidden_state,
 )
 from .spectral import (
     DegenerateSpectrumError,
@@ -67,7 +64,6 @@ __all__ = [
     "CompanionModel",
     "CoupledCellSystem",
     "DegenerateSpectrumError",
-    "DependencyGraph",
     "GenerationError",
     "LinearSystem",
     "LocalizabilityReport",
@@ -80,7 +76,6 @@ __all__ = [
     "consensus_cluster_count",
     "coupled_cell_fixture",
     "decentralized_cluster_labels",
-    "dependency_graph",
     "detect_cluster_count",
     "exact_companion",
     "fit_companion",
@@ -97,7 +92,6 @@ __all__ = [
     "localizable_everywhere",
     "multiset_distance",
     "normalized_laplacian",
-    "permute_vertex_first",
     "predict",
     "r_matrix",
     "recover_hidden_state",

@@ -15,8 +15,8 @@ import numpy as np
 # exactly the interesting regime, so every caller also accepts an override.
 DEFAULT_RANK_TOL = 1e-10
 # Eigenvalues closer than this are treated as one root: the Vandermonde
-# regression for eigenvector components is rank-deficient below it, and the
-# Hautus test tests each merged representative once (over-merging is safe).
+# regression for eigenvector components is rank-deficient below it. Only
+# spectral decides distinctness.
 DEFAULT_DISTINCT_TOL = 1e-9
 # Real parts with magnitude below this resolve to '+' in sign-pattern labels.
 DEFAULT_SIGN_TOL = 1e-9

@@ -285,8 +285,7 @@ def _demo_fig2(seed, outdir):
     # vertex's trajectory carries no information about components it is not attached to
     for _ in range(dynsys.MAX_DRAWS):
         w = dynsys.generate_sbm([5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=int(rng.integers(2**63)))
-        graph = dynsys.dependency_graph(dynsys.LinearSystem(w))
-        if localizability.is_strongly_connected(graph):  # W is symmetric
+        if localizability.is_strongly_connected(w):  # W is symmetric
             break
     else:
         raise dynsys.GenerationError(f"no connected SBM draw in {dynsys.MAX_DRAWS} draws")

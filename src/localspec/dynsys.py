@@ -75,21 +75,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class DependencyGraph:
-    """Directed graph with edge (j, i) iff variable j enters variable i's update."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-
-    def adjacency(self) -> np.ndarray:
-        """0/1 adjacency matrix with [j-1, i-1] = 1 for edge (j, i)."""
-        adj = np.zeros((self.vertex_count, self.vertex_count))
-        for j, i in self.edges:
-            adj[j - 1, i - 1] = 1.0
-        return adj
-
-
-@dataclass(frozen=True)
 class CoupledCellSystem:
     """Network of d two-dimensional cells with cubic internal dynamics.
 
@@ -150,17 +135,6 @@ def simulate_local(sys: LinearSystem, x0: np.ndarray, steps: int, vertex: int) -
     return simulate(sys, x0, steps).local(vertex)
 
 
-def dependency_graph(sys: LinearSystem) -> DependencyGraph:
-    """Edge set (j, i) for every exactly-nonzero entry a[i, j].
-
-    The comparison is exact (no tolerance): the matrix is specified data,
-    not an estimate.
-    """
-    rows, cols = np.nonzero(sys.a)
-    edges = frozenset((int(j) + 1, int(i) + 1) for i, j in zip(rows, cols))
-    return DependencyGraph(vertex_count=sys.n, edges=edges)
-
-
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     """Normalized graph Laplacian I - D^(-1/2) W D^(-1/2) of a weighted graph.
 
@@ -192,8 +166,8 @@ def build_wave_system(laplacian: np.ndarray, c: float) -> LinearSystem:
     laplacian = np.asarray(laplacian, dtype=float)
     if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
         raise ValueError("laplacian must be a square matrix")
-    if c <= 0:
-        raise ValueError("wave speed must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError(f"wave speed must be finite and positive, got {c}")
     n = laplacian.shape[0]
     eye = np.eye(n)
     top = np.hstack([2.0 * eye - c * c * laplacian, -eye])
@@ -223,8 +197,9 @@ def generate_sbm(
     for p in (intra_p, inter_p):
         if not 0.0 <= p <= 1.0:
             raise ValueError("connection probabilities must lie in [0, 1]")
-    if intra_weight <= 0 or inter_weight <= 0:
-        raise ValueError("edge weights must be positive")
+    for name, value in (("intra_weight", intra_weight), ("inter_weight", inter_weight)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)

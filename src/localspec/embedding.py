@@ -14,15 +14,6 @@ import numpy as np
 
 from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm
 from .dynsys import LinearSystem
-from .localizability import _split_blocks, is_localizable
-
-
-class NotLocalizableError(ValueError):
-    """Hidden-state recovery was attempted at a vertex with rank-deficient R."""
-
-    def __init__(self, message: str, singular_values: np.ndarray):
-        super().__init__(message)
-        self.singular_values = singular_values
 
 
 @dataclass(frozen=True)
@@ -138,44 +129,3 @@ def predict(model: CompanionModel, window: np.ndarray, steps: int) -> np.ndarray
     for k in range(steps):
         out[model.s + k] = model.weights @ out[k : k + model.s]
     return out
-
-
-def recover_hidden_state(
-    sys: LinearSystem,
-    vertex: int,
-    window: np.ndarray,
-    rel_tol: float = DEFAULT_RANK_TOL,
-) -> np.ndarray:
-    """Reconstruct the hidden block v(k) from n consecutive local values.
-
-    Solves R v(k) = b(k), where row r of b(k) subtracts from u(k+r) the
-    contributions that reach the observed vertex through its own past:
-    b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
-    The returned components keep the original vertex order with ``vertex``
-    removed. Raises :class:`NotLocalizableError` when
-    :func:`~localspec.localizability.is_localizable` finds R numerically
-    singular at ``rel_tol``.
-    """
-    n = sys.n
-    if n < 2:
-        raise ValueError("hidden-state recovery needs n >= 2")
-    window = np.asarray(window, dtype=float).reshape(-1)
-    if window.shape[0] != n:
-        raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
-    report = is_localizable(sys, vertex, rel_tol)
-    if not report.localizable:
-        raise NotLocalizableError(
-            f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
-            f"(numeric rank {report.numeric_rank} of {n - 1})",
-            singular_values=report.singular_values,
-        )
-    a11, _, a21, _ = _split_blocks(sys, vertex)
-    feedthrough = report.r_matrix @ a21  # entry l is a12^T A22^l a21
-
-    b = np.empty(n - 1)
-    for r in range(1, n):
-        acc = window[r] - a11 * window[r - 1]
-        for l in range(r - 1):
-            acc -= feedthrough[l] * window[r - 2 - l]
-        b[r - 1] = acc
-    return lstsq_min_norm(report.r_matrix, b, rel_tol)[0]

@@ -75,12 +75,15 @@ def _load_matrix(data, key) -> np.ndarray:
 
 
 def json_text(payload) -> str:
-    """The text of a JSON file or stdout report: indent 2, trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The text of a JSON file or stdout report: indent 2, trailing newline.
+
+    NaN and infinities are not JSON, so a payload holding one is a ValueError.
+    """
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(json_text(payload))
+    Path(path).write_text(json_text(payload))  # the text exists before the file
 
 
 def write_table(path, header, keys, values) -> None:

@@ -4,7 +4,7 @@ A system x(k+1) = A x(k), observed only in vertex v, is localizable in v
 when the (n-1) x (n-1) matrix R stacking the rows a12^T A22^l (l = 0..n-2,
 in the coordinates that put v first) has full rank. Localizability is what
 licenses every downstream local estimate: companion models, spectra, and
-hidden-state reconstruction.
+hidden-state reconstruction, which solves R v(k) = b(k) here.
 """
 
 from __future__ import annotations
@@ -13,9 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL
+from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm
 from ._linalg import numeric_rank, singular_values
-from .dynsys import DependencyGraph, LinearSystem
+from .dynsys import LinearSystem
+
+
+class NotLocalizableError(ValueError):
+    """Hidden-state recovery was attempted at a vertex with rank-deficient R."""
+
+    def __init__(self, message: str, singular_values: np.ndarray):
+        super().__init__(message)
+        self.singular_values = singular_values
 
 
 @dataclass(frozen=True)
@@ -39,38 +47,35 @@ class LocalizabilityReport:
         }
 
 
-def permute_vertex_first(sys: LinearSystem, vertex: int) -> LinearSystem:
-    """Similarity transform P^T A P moving ``vertex`` to position 1.
+def _split_blocks(a: np.ndarray, vertex: int):
+    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with ``vertex`` first.
 
-    The relative order of the remaining vertices is preserved, so hidden
+    The similarity P^T A P keeps the other vertices in their order, so hidden
     components keep their original ordering; the spectrum is unchanged.
     """
-    if not 1 <= vertex <= sys.n:
-        raise ValueError(f"vertex {vertex} out of range 1..{sys.n}")
-    if vertex == 1:
-        return sys
-    order = [vertex - 1] + [i for i in range(sys.n) if i != vertex - 1]
-    return LinearSystem(sys.a[np.ix_(order, order)])
-
-
-def _split_blocks(sys: LinearSystem, vertex: int):
-    a = permute_vertex_first(sys, vertex).a
-    return a[0, 0], a[0, 1:], a[1:, 0], a[1:, 1:]
+    n = a.shape[0]
+    if not 1 <= vertex <= n:
+        raise ValueError(f"vertex {vertex} out of range 1..{n}")
+    order = [vertex - 1, *range(vertex - 1), *range(vertex, n)]
+    p = a[np.ix_(order, order)]
+    return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
 
 
 def r_matrix(sys: LinearSystem, vertex: int) -> np.ndarray:
     """Stacked rows a12^T A22^l for l = 0..n-2, built by iterated row products.
 
     Row-vector times matrix per step keeps the cost at O(n^3) total and
-    avoids forming explicit powers of A22.
+    avoids forming explicit powers of A22. A 1-dimensional system has the
+    empty 0 x 0 R. Raises ValueError when a row overflows.
     """
-    if sys.n < 2:
-        raise ValueError("R is only defined for systems with n >= 2")
-    _, a12, _, a22 = _split_blocks(sys, vertex)
+    _, a12, _, a22 = _split_blocks(sys.a, vertex)
     rows = np.empty((sys.n - 1, sys.n - 1))
-    rows[0] = a12
-    for l in range(1, sys.n - 1):
-        rows[l] = rows[l - 1] @ a22
+    rows[:1] = a12
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for l in range(1, sys.n - 1):
+            rows[l] = rows[l - 1] @ a22
+    if not np.isfinite(rows).all():
+        raise ValueError(f"R of vertex {vertex} overflows: its rows exceed the float range")
     return rows
 
 
@@ -83,19 +88,8 @@ def is_localizable(
     ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
     genuine modelling choice for near-deficient R, hence always exposed.
     """
-    if not 1 <= vertex <= sys.n:
-        raise ValueError(f"vertex {vertex} out of range 1..{sys.n}")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    if sys.n == 1:
-        return LocalizabilityReport(
-            vertex=vertex,
-            r_matrix=np.zeros((0, 0)),
-            singular_values=np.zeros(0),
-            numeric_rank=0,
-            localizable=True,
-            tolerance_used=rel_tol,
-        )
     r = r_matrix(sys, vertex)
     sigma = singular_values(r)
     rank = numeric_rank(sigma, rel_tol)
@@ -117,47 +111,76 @@ def localizable_everywhere(
     return all(r.localizable for r in reports), reports
 
 
-def hautus_localizable(
-    sys: LinearSystem,
-    vertex: int,
-    rel_tol: float = DEFAULT_RANK_TOL,
-    distinct_tol: float = DEFAULT_DISTINCT_TOL,
-) -> bool:
+def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Eigenvalue-wise rank test equivalent to the rank-of-R criterion.
 
     For every eigenvalue lam of A22, the stacked matrix
     [lam I - A22; a12^T] must have full column rank n - 1; complex
-    eigenvalues make the stack complex and rank is taken over C. Each
-    distinct eigenvalue (modulo ``distinct_tol``) is tested once.
+    eigenvalues make the stack complex and rank is taken over C.
     """
     if sys.n < 2:
         raise ValueError("the Hautus test needs n >= 2")
-    _, a12, _, a22 = _split_blocks(sys, vertex)
-    eigs = np.linalg.eigvals(a22)
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    tested: list[complex] = []
+    _, a12, _, a22 = _split_blocks(sys.a, vertex)
     eye = np.eye(sys.n - 1)
-    for lam in eigs:
-        if tested and abs(lam - tested[-1]) <= distinct_tol:
-            continue
-        tested.append(lam)
+    for lam in np.linalg.eigvals(a22):
         stacked = np.vstack([lam * eye - a22, a12[None, :]])
-        sigma = singular_values(stacked)
-        if numeric_rank(sigma, rel_tol) < sys.n - 1:
+        if numeric_rank(singular_values(stacked), rel_tol) < sys.n - 1:
             return False
     return True
 
 
-def is_strongly_connected(graph: DependencyGraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path.
+def recover_hidden_state(
+    sys: LinearSystem,
+    vertex: int,
+    window: np.ndarray,
+    rel_tol: float = DEFAULT_RANK_TOL,
+) -> np.ndarray:
+    """Reconstruct the hidden block v(k) from n consecutive local values.
+
+    Solves R v(k) = b(k), where row r of b(k) subtracts from u(k+r) the
+    contributions that reach the observed vertex through its own past:
+    b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
+    The returned components keep the original vertex order with ``vertex``
+    removed. Raises :class:`NotLocalizableError` when :func:`is_localizable`
+    finds R numerically singular at ``rel_tol``.
+    """
+    n = sys.n
+    if n < 2:
+        raise ValueError("hidden-state recovery needs n >= 2")
+    window = np.asarray(window, dtype=float).reshape(-1)
+    if window.shape[0] != n:
+        raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
+    report = is_localizable(sys, vertex, rel_tol)
+    if not report.localizable:
+        raise NotLocalizableError(
+            f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
+            f"(numeric rank {report.numeric_rank} of {n - 1})",
+            singular_values=report.singular_values,
+        )
+    a11, _, a21, _ = _split_blocks(sys.a, vertex)
+    feedthrough = report.r_matrix @ a21  # entry l is a12^T A22^l a21
+
+    b = np.empty(n - 1)
+    for r in range(1, n):
+        acc = window[r] - a11 * window[r - 1]
+        for l in range(r - 1):
+            acc -= feedthrough[l] * window[r - 2 - l]
+        b[r - 1] = acc
+    return lstsq_min_norm(report.r_matrix, b, rel_tol)[0]
+
+
+def is_strongly_connected(a: np.ndarray) -> bool:
+    """True iff the nonzero pattern of the square matrix ``a`` is a strongly
+    connected digraph: every ordered vertex pair is joined by a directed path.
 
     Equivalently, vertex 1 reaches every vertex both along the edges and
     against them; each sweep grows the reached set until it stops growing.
     """
-    adj = graph.adjacency() != 0
+    adj = np.asarray(a) != 0
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {adj.shape}")
     for step in (adj, adj.T):
-        seen = np.arange(graph.vertex_count) == 0
+        seen = np.arange(adj.shape[0]) == 0
         while not np.array_equal(grown := seen | step[seen].any(axis=0), seen):
             seen = grown
         if not seen.all():

@@ -266,6 +266,29 @@ class TestGenerate:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "type" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["--intra-weight", "--inter-weight"])
+    def test_non_finite_weight_fails_without_writing(self, tmp_path, capsys, option, bad):
+        out = tmp_path / "sbm.json"
+        assert run("generate", "sbm", "--sizes", "3,3", option, bad,
+                   "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert f"{option[2:].replace('-', '_')} must be finite" in err["error"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_wave_speed_fails_without_writing(self, tmp_path, capsys, bad):
+        adj = tmp_path / "adj.json"
+        assert run("generate", "sbm", "--sizes", "3,3", "--out", adj, "--quiet") == 0
+        out = tmp_path / "wave.json"
+        assert run("generate", "wave", "--adjacency", adj, "--wave-speed", bad,
+                   "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert "wave speed must be finite" in err["error"]
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
 
 class TestSimulate:
     def test_identity_constant_rows(self, tmp_path):
@@ -360,6 +383,21 @@ class TestLocalizability:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "'epsilon': entries must be numbers or 'p/q' strings, got None",
                        "type": "ValueError"}
+        assert not out.exists()
+
+    def test_overflowing_r_fails_without_writing(self, tmp_path, capfd):
+        sys_file = tmp_path / "big.json"
+        a = np.full((5, 5), 1e200)
+        np.fill_diagonal(a, 0.5)
+        sys_file.write_text(json.dumps({"n": 5, "A": a.tolist()}))
+        out = tmp_path / "rep.json"
+        assert run("localizability", sys_file, "--vertex", "1", "--out", out, "--quiet") == 1
+        captured = capfd.readouterr()  # file descriptors, so LAPACK's own messages count
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["type"] == "ValueError"
+        assert "R of vertex 1 overflows" in err["error"]
         assert not out.exists()
 
 

@@ -14,7 +14,6 @@ from localspec import (
     bipartite_fixture,
     build_wave_system,
     coupled_cell_fixture,
-    dependency_graph,
     generate_sbm,
     koopman_lift,
     lift_state,
@@ -98,34 +97,6 @@ class TestSimulateLocal:
             simulate_local(LinearSystem(np.eye(2)), [1.0, 1.0], 2, vertex=3)
 
 
-class TestDependencyGraph:
-    def test_zero_matrix_has_no_edges(self):
-        assert dependency_graph(LinearSystem(np.zeros((3, 3)))).edges == frozenset()
-
-    def test_example1_left_edge_set(self):
-        a = np.array([[float(v) for v in row] for row in EXAMPLE1_LEFT])
-        g = dependency_graph(LinearSystem(a))
-        assert g.edges == frozenset(
-            {(2, 1), (1, 2), (1, 3), (2, 3), (1, 1), (2, 2), (3, 3)}
-        )
-        assert (3, 1) not in g.edges and (3, 2) not in g.edges
-
-    def test_single_entry(self):
-        g = dependency_graph(LinearSystem([[0.0, 1.0], [0.0, 0.0]]))
-        assert g.edges == frozenset({(2, 1)})
-
-    def test_soundness_on_random_sparse_matrices(self):
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 7))
-            a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
-            a[0, 0] = a[0, 0] if np.any(a) else 1.0
-            edges = dependency_graph(LinearSystem(a)).edges
-            for i in range(n):
-                for j in range(n):
-                    assert ((j + 1, i + 1) in edges) == (a[i, j] != 0)
-
-
 class TestNormalizedLaplacian:
     def test_two_vertex_complete_graph(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -203,6 +174,11 @@ class TestWaveSystem:
                     for root in quadratic_wave_roots(m, c):
                         assert abs(abs(root) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_speed(self, c):
+        with pytest.raises(ValueError, match="wave speed must be finite"):
+            build_wave_system(np.zeros((2, 2)), c)
+
 
 class TestGenerateSbm:
     def test_deterministic_in_seed(self):
@@ -232,11 +208,19 @@ class TestGenerateSbm:
         with pytest.raises(GenerationError):
             generate_sbm([1, 2], 1.0, 0.0, 1.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["intra_weight", "inter_weight"])
+    def test_rejects_non_finite_weight_naming_it(self, name, bad):
+        weights = {"intra_weight": 1.0, "inter_weight": 0.2, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            generate_sbm([3, 3], 0.7, 0.05, seed=0, **weights)
+
 
 class TestBipartiteFixture:
     def test_dependency_edges_match_declared_graph(self):
-        g = dependency_graph(bipartite_fixture())
-        assert g.edges == frozenset(_BIPARTITE_EDGES)
+        a = bipartite_fixture().a
+        declared = {(target - 1, source - 1) for source, target in _BIPARTITE_EDGES}
+        assert {(int(i), int(j)) for i, j in zip(*np.nonzero(a))} == declared
 
     def test_spectrum_invariant_under_negation(self):
         eigs = np.linalg.eigvals(bipartite_fixture().a)

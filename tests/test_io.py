@@ -23,6 +23,7 @@ from localspec.io import (
     save_adjacency,
     save_system,
     save_trajectory,
+    write_json,
     write_table,
 )
 
@@ -361,3 +362,12 @@ class TestWriteTable:
         path = tmp_path / "traj.csv"
         save_trajectory(path, states)
         assert np.array_equal(load_trajectory(path).view(np.int64), states.view(np.int64))
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_without_a_file(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"singular_values": [1.0, float(bad)]})
+        assert not path.exists()

@@ -9,36 +9,15 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import random_system
 from localspec import (
-    DependencyGraph,
     LinearSystem,
     bipartite_fixture,
-    dependency_graph,
     hautus_localizable,
     is_localizable,
     is_strongly_connected,
     localizable_everywhere,
-    permute_vertex_first,
     r_matrix,
 )
 from localspec.io import example1_system
-
-
-class TestPermuteVertexFirst:
-    def test_vertex_one_is_identity(self):
-        sys = random_system(0, n=4)
-        assert permute_vertex_first(sys, 1) is sys
-
-    def test_diagonal_reordering(self):
-        out = permute_vertex_first(LinearSystem(np.diag([1.0, 2.0, 3.0])), 3)
-        assert np.array_equal(out.a, np.diag([3.0, 1.0, 2.0]))
-
-    def test_similarity_preserves_spectrum(self):
-        for seed in range(10):
-            sys = random_system(seed, n=5)
-            for v in range(1, 6):
-                before = np.sort_complex(np.linalg.eigvals(sys.a))
-                after = np.sort_complex(np.linalg.eigvals(permute_vertex_first(sys, v).a))
-                assert np.allclose(before, after, atol=1e-10)
 
 
 class TestRMatrix:
@@ -57,9 +36,24 @@ class TestRMatrix:
         a = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
         assert np.array_equal(r_matrix(LinearSystem(a), 1), np.zeros((2, 2)))
 
-    def test_needs_two_states(self):
-        with pytest.raises(ValueError):
-            r_matrix(LinearSystem([[1.0]]), 1)
+    def test_one_state_gives_the_empty_r(self):
+        sys = LinearSystem([[1.0]])
+        r = r_matrix(sys, 1)
+        assert r.shape == (0, 0)
+        assert np.array_equal(r, is_localizable(sys, 1).r_matrix)
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_vertex_out_of_range(self, vertex):
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range 1..3"):
+            r_matrix(LinearSystem(np.eye(3)), vertex)
+
+    def test_overflow_is_a_value_error_naming_the_vertex(self):
+        # a12 A22 already exceeds the float range; no NaN reaches the SVD
+        a = np.full((5, 5), 1e200)
+        np.fill_diagonal(a, 0.5)
+        for call in (r_matrix, is_localizable):
+            with pytest.raises(ValueError, match="R of vertex 2 overflows"):
+                call(LinearSystem(a), 2)
 
 
 class TestIsLocalizable:
@@ -145,59 +139,61 @@ class TestHautus:
         assert not hautus_localizable(LinearSystem(a), 1)
 
 
-def strongly_connected_oracle(graph):
+def strongly_connected_oracle(a):
     """One strong component by scipy's csgraph: the reference."""
-    adj = scipy.sparse.csr_matrix(graph.adjacency())
-    count, _ = connected_components(adj, directed=True, connection="strong")
+    count, _ = connected_components(scipy.sparse.csr_matrix(a != 0), directed=True,
+                                    connection="strong")
     return count == 1
 
 
 @st.composite
-def digraphs(draw):
-    """Random-density digraphs and the edge cases: no edges, self-loops only,
-    and one-way chains, optionally closed into a cycle."""
+def pattern_matrices(draw):
+    """Square matrices whose nonzero patterns are random-density digraphs and
+    the edge cases: no edges, self-loops only, and one-way chains, optionally
+    closed into a cycle."""
     n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["random", "empty", "self-loops", "chain"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         hits = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
-        edges = {(int(j) + 1, int(i) + 1) for j, i in zip(*np.nonzero(hits))}
     elif kind == "empty":
-        edges = set()
+        hits = np.zeros((n, n), dtype=bool)
     elif kind == "self-loops":
-        edges = {(v, v) for v in range(1, n + 1)}
+        hits = np.eye(n, dtype=bool)
     else:
-        edges = {(v, v + 1) for v in range(1, n)}
-        if draw(st.booleans()):
-            edges.add((n, 1))
-    return DependencyGraph(vertex_count=n, edges=frozenset(edges))
+        hits = np.eye(n, k=-1, dtype=bool)  # a[i + 1, i]: vertex i + 1 feeds i + 2
+        hits[0, n - 1] |= draw(st.booleans())
+    return np.where(hits, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
 
 
 class TestStrongConnectivity:
     @settings(max_examples=400, deadline=None)
-    @given(graph=digraphs())
-    def test_matches_scipy_strong_components(self, graph):
-        assert is_strongly_connected(graph) == strongly_connected_oracle(graph)
+    @given(a=pattern_matrices())
+    def test_matches_scipy_strong_components(self, a):
+        assert is_strongly_connected(a) == strongly_connected_oracle(a)
 
     def test_example1_left_not_strongly_connected(self):
-        # reachability oracle: vertex 3 has no outgoing edge except its
-        # self-loop, so nothing returns from it
-        g = dependency_graph(example1_system("left"))
-        out_of_3 = {edge for edge in g.edges if edge[0] == 3 and edge[1] != 3}
-        assert out_of_3 == set()
-        assert not is_strongly_connected(g)
+        # reachability oracle: a[0, 2] = a[1, 2] = 0, so vertex 3 feeds only
+        # itself and nothing returns from it
+        a = example1_system("left").a
+        assert np.array_equal(np.nonzero(a[:, 2])[0], [2])
+        assert not is_strongly_connected(a)
 
     def test_example1_right_fully_connected(self):
-        assert is_strongly_connected(dependency_graph(example1_system("right")))
+        assert is_strongly_connected(example1_system("right").a)
 
     def test_single_vertex(self):
-        assert is_strongly_connected(dependency_graph(LinearSystem([[0.5]])))
+        assert is_strongly_connected(np.array([[0.5]]))
 
     def test_strongly_connected_but_not_localizable(self):
         # the non-sufficiency witness: full dependency graph, rank(R) = 1
         sys = example1_system("right")
-        assert is_strongly_connected(dependency_graph(sys))
+        assert is_strongly_connected(sys.a)
         assert not is_localizable(sys, 1).localizable
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            is_strongly_connected(np.ones((2, 3)))
 
 
 class TestProperties:
@@ -205,9 +201,10 @@ class TestProperties:
         for seed in range(15):
             sys = random_system(seed, sparse=True)
             for v in range(1, sys.n + 1):
+                order = np.r_[v - 1, 0 : v - 1, v : sys.n]  # vertex v first
+                permuted = LinearSystem(sys.a[np.ix_(order, order)])
                 direct = is_localizable(sys, v).localizable
-                permuted = is_localizable(permute_vertex_first(sys, v), 1).localizable
-                assert direct == permuted
+                assert direct == is_localizable(permuted, 1).localizable
 
     def test_generic_localizability(self):
         hits = 0
