@@ -29,9 +29,9 @@ from .dynsys import (
 )
 from .embedding import (
     CompanionModel,
+    delay_windows,
     exact_companion,
     fit_companion,
-    hankel_matrices,
     predict,
 )
 from .localizability import (
@@ -76,11 +76,11 @@ __all__ = [
     "consensus_cluster_count",
     "coupled_cell_fixture",
     "decentralized_cluster_labels",
+    "delay_windows",
     "detect_cluster_count",
     "exact_companion",
     "fit_companion",
     "generate_sbm",
-    "hankel_matrices",
     "hautus_localizable",
     "is_bipartite_spectrum",
     "is_localizable",

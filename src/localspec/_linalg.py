@@ -18,7 +18,8 @@ DEFAULT_RANK_TOL = 1e-10
 # regression for eigenvector components is rank-deficient below it. Only
 # spectral decides distinctness.
 DEFAULT_DISTINCT_TOL = 1e-9
-# Real parts with magnitude below this resolve to '+' in sign-pattern labels.
+# Real parts with magnitude below this fraction of the vertex's largest
+# |component| resolve to '+' in sign-pattern labels.
 DEFAULT_SIGN_TOL = 1e-9
 # Largest matched-pair distance between a spectrum and its negation that
 # still counts as bipartite.
@@ -35,8 +36,11 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     """Number of singular values exceeding ``rel_tol * sigma_max``.
 
-    An all-zero (or empty) matrix has rank 0.
+    An all-zero (or empty) matrix has rank 0. ``rel_tol`` must be finite and
+    positive (NaN fails the comparison), else ValueError.
     """
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rank tolerance must be finite and positive, got {rel_tol}")
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))

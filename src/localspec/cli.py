@@ -187,8 +187,6 @@ def cmd_analyze(args) -> int:
         u,
         s,
         vertex=args.vertex,
-        check_bipartite=not args.no_bipartite,
-        compute_components=not args.no_components,
         detect_clusters=args.gap,
         max_k=args.max_k,
         svd_tol=args.tol_rank,
@@ -200,11 +198,17 @@ def cmd_analyze(args) -> int:
 
 def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
     """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra,
-    each vertex analyzed from its own column; ``k="auto"`` takes the consensus count."""
+    each vertex analyzed from its own column; ``k="auto"`` takes the consensus count.
+    Labels need every vertex's components, so a vertex without them is an error."""
     reports = {v: spectral.analyze_vertex(states[:, v - 1], s, vertex=v, check_bipartite=False,
                                           svd_tol=svd_tol, distinct_tol=distinct_tol)
                for v in range(1, states.shape[1] + 1)}
-    comps = {v: r.vertex_components[v] for v, r in reports.items()}
+    for v, r in reports.items():
+        if r.components is None:
+            raise spectral.DegenerateSpectrumError(
+                f"vertex {v} has no eigenvector components: two of its estimated "
+                f"eigenvalues coincide within {distinct_tol:g}")
+    comps = {v: r.components for v, r in reports.items()}
     spectra = {v: r.eigenvalues for v, r in reports.items()}
     if k == "auto":
         k = spectral.consensus_cluster_count(spectra)
@@ -410,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory")
     p.add_argument("--vertex", type=int, default=1)
     p.add_argument("--delays", type=int, help="embedding length (default: state dimension)")
-    p.add_argument("--no-bipartite", action="store_true")
-    p.add_argument("--no-components", action="store_true")
     p.add_argument("--gap", action="store_true", help="detect cluster count from spectral gaps")
     p.add_argument("--max-k", type=int)
     _add_shared(p, "--out", "--tol-rank", "--tol-distinct")

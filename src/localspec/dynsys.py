@@ -90,23 +90,21 @@ class CoupledCellSystem:
     epsilon: float
 
     def __post_init__(self) -> None:
-        alpha = np.array(self.alpha, dtype=float)
-        beta = np.array(self.beta, dtype=float)
-        gamma = np.array(self.gamma, dtype=float)
-        coupling = np.array(self.coupling, dtype=float)
-        d = alpha.shape[0]
-        if not (beta.shape == (d,) and gamma.shape == (d,)):
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("alpha", "beta", "gamma", "coupling")}
+        for name, value in {**arrays, "epsilon": self.epsilon}.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        d = arrays["alpha"].shape[0]
+        if not arrays["beta"].shape == arrays["gamma"].shape == (d,):
             raise ValueError("per-cell parameter arrays must share one length")
-        if coupling.shape != (d, d):
+        if arrays["coupling"].shape != (d, d):
             raise ValueError(f"coupling matrix must be {d}x{d}")
-        if np.any(np.diag(coupling) != 0):
+        if np.any(np.diag(arrays["coupling"]) != 0):
             raise ValueError("coupling matrix must have a zero diagonal")
-        for arr in (alpha, beta, gamma, coupling):
-            arr.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "coupling", coupling)
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -138,12 +136,14 @@ def simulate_local(sys: LinearSystem, x0: np.ndarray, steps: int, vertex: int) -
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     """Normalized graph Laplacian I - D^(-1/2) W D^(-1/2) of a weighted graph.
 
-    Requires a symmetric nonnegative weight matrix in which every vertex has
-    positive degree; the spectrum then lies in [0, 2].
+    Requires a finite symmetric nonnegative weight matrix in which every
+    vertex has positive degree; the spectrum then lies in [0, 2].
     """
     w = np.asarray(adjacency, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("adjacency must be a square matrix")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("adjacency weights must be finite")
     if not np.array_equal(w, w.T):
         raise ValueError("adjacency must be symmetric")
     if np.any(w < 0):

@@ -55,22 +55,20 @@ class CompanionModel:
         }
 
 
-def hankel_matrices(u, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay-embedded (Hankel-structured) data pair ``(x, y)`` of a scalar series.
+def delay_windows(u, width: int) -> np.ndarray:
+    """Read-only view whose row k is the delay window u(k), ..., u(k+width-1).
 
-    Column j of ``x`` holds u(j), ..., u(j+s-1), and ``y`` is the same window
-    shifted one step, so rows 1.. of ``x`` repeat rows ..s-2 of ``y``. A
-    series of m+1 observations yields m - s + 1 columns.
+    A series of m observations yields m - width + 1 windows; the rows are
+    the rows of the series' Hankel matrix.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"expected a scalar series, got an array of shape {u.shape}")
-    if s < 1:
-        raise ValueError("delay count s must be at least 1")
-    if u.shape[0] < s + 1:
-        raise ValueError(f"need at least s+1 = {s + 1} observations, got {u.shape[0]}")
-    windows = np.lib.stride_tricks.sliding_window_view(u, u.shape[0] - s)
-    return windows[:s].copy(), windows[1:].copy()
+    if width < 1:
+        raise ValueError("window width must be at least 1")
+    if u.shape[0] < width:
+        raise ValueError(f"need at least {width} observations, got {u.shape[0]}")
+    return np.lib.stride_tricks.sliding_window_view(u, width)
 
 
 def fit_companion(
@@ -80,8 +78,8 @@ def fit_companion(
 
     Only the bottom row of the structured companion matrix is unknown, so
     the regression has s unknowns and len(u) - s equations: row k states
-    u(k+s) = sum_j w_j u(k+j), i.e. the design is the transposed delay
-    matrix of :func:`hankel_matrices` and the target its last shifted row.
+    u(k+s) = sum_j w_j u(k+j), i.e. the design holds the first s entries of
+    the :func:`delay_windows` of width s + 1 and the target their last.
     The series is scaled to unit max-abs first so decaying trajectories do
     not underflow the regression; the weights are invariant under that
     scaling. Each row of [design | target] is then divided by its own
@@ -95,8 +93,8 @@ def fit_companion(
     if u.shape[0] < 2 * s:
         raise ValueError(f"need at least 2s = {2 * s} observations, got {u.shape[0]}")
     scale = float(np.max(np.abs(u))) or 1.0  # an all-zero series fits zero weights
-    x, y = hankel_matrices(u / scale, s)
-    design, target = x.T, y[-1]
+    windows = delay_windows(u / scale, s + 1)
+    design, target = np.asfortranarray(windows[:, :s]), windows[:, s]
     rows = np.maximum(np.max(np.abs(design), axis=1), np.abs(target))
     rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
     weights, _ = lstsq_min_norm(design / rows[:, None], target / rows, svd_tol)

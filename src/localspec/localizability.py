@@ -88,8 +88,6 @@ def is_localizable(
     ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
     genuine modelling choice for near-deficient R, hence always exposed.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     r = r_matrix(sys, vertex)
     sigma = singular_values(r)
     rank = numeric_rank(sigma, rel_tol)
@@ -116,10 +114,10 @@ def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_
 
     For every eigenvalue lam of A22, the stacked matrix
     [lam I - A22; a12^T] must have full column rank n - 1; complex
-    eigenvalues make the stack complex and rank is taken over C.
+    eigenvalues make the stack complex and rank is taken over C. A
+    1-dimensional system has an empty A22 and passes vacuously, as in
+    :func:`is_localizable`.
     """
-    if sys.n < 2:
-        raise ValueError("the Hautus test needs n >= 2")
     _, a12, _, a22 = _split_blocks(sys.a, vertex)
     eye = np.eye(sys.n - 1)
     for lam in np.linalg.eigvals(a22):

@@ -26,14 +26,17 @@ class DegenerateSpectrumError(ValueError):
 class SpectralReport:
     """Everything one vertex can report about the global system.
 
-    ``vertex_components[v][l]`` is the product of mode amplitude z_l and the
-    vertex-v entry of eigenvector l; the amplitudes are shared across all
+    ``components[l]`` is the product of mode amplitude z_l and the entry of
+    eigenvector l at ``vertex``; the amplitudes are shared across all
     vertices because they observe the same trajectory, so sign patterns are
-    globally consistent without any coordination.
+    globally consistent without any coordination. ``components`` is None
+    when the estimated eigenvalues coincide, since the data then do not
+    determine them.
     """
 
     eigenvalues: np.ndarray
-    vertex_components: dict[int, np.ndarray]
+    vertex: int
+    components: np.ndarray | None
     trace_estimate: float
     det_estimate: float
     bipartite: bool | None = None
@@ -45,9 +48,9 @@ class SpectralReport:
 
         return {
             "eigenvalues": cplx(self.eigenvalues),
-            "vertex_components": {
-                str(v): cplx(c) for v, c in self.vertex_components.items()
-            },
+            "vertex_components": (
+                {} if self.components is None else {str(self.vertex): cplx(self.components)}
+            ),
             "trace_estimate": float(self.trace_estimate),
             "det_estimate": float(self.det_estimate),
             "bipartite": self.bipartite,
@@ -224,8 +227,10 @@ def decentralized_cluster_labels(components: dict[int, np.ndarray], k: int) -> d
     Each vertex looks only at its own component list: the signs of the real
     parts of entries 2..k form a (k-1)-bit pattern, and equal patterns mean
     same cluster; at k = 1 the pattern is empty and every vertex gets 0.
-    Magnitudes within ``DEFAULT_SIGN_TOL`` of zero resolve to '+'. Ids are
-    canonicalized to 0..#patterns-1 by first appearance in vertex order.
+    Real parts within ``DEFAULT_SIGN_TOL`` times the vertex's largest
+    |component| of zero resolve to '+', so the labels do not depend on the
+    data's units. Ids are canonicalized to 0..#patterns-1 by first
+    appearance in vertex order.
     """
     if k < 1:
         raise ValueError(f"sign-pattern clustering needs k >= 1, got {k}")
@@ -235,7 +240,8 @@ def decentralized_cluster_labels(components: dict[int, np.ndarray], k: int) -> d
         comp = np.asarray(components[vertex]).reshape(-1)
         if comp.shape[0] < k:
             raise ValueError(f"vertex {vertex} supplies {comp.shape[0]} < k = {k} components")
-        pattern = tuple(bool(r >= -DEFAULT_SIGN_TOL) for r in comp[1:k].real)
+        floor = -DEFAULT_SIGN_TOL * float(np.max(np.abs(comp)))
+        pattern = tuple(bool(r >= floor) for r in comp[1:k].real)
         labels[vertex] = ids.setdefault(pattern, len(ids))
     return labels
 
@@ -246,7 +252,6 @@ def analyze_vertex(
     vertex: int = 1,
     *,
     check_bipartite: bool = True,
-    compute_components: bool = True,
     detect_clusters: bool = False,
     max_k: int | None = None,
     svd_tol: float = DEFAULT_RANK_TOL,
@@ -254,22 +259,26 @@ def analyze_vertex(
 ) -> SpectralReport:
     """Full local pipeline: fit, eigenvalues, components, and derived flags.
 
-    ``vertex`` only keys the component map; the analysis itself never sees
-    any other vertex's data. Cluster detection is opt-in because it presumes
-    a real (Laplacian-driven) spectrum; it reads the gap of the real parts,
-    as :func:`consensus_cluster_count` does for one spectrum.
+    ``vertex`` only labels the report; the analysis itself never sees any
+    other vertex's data. The components are None when two estimated
+    eigenvalues coincide within ``distinct_tol``. Cluster detection is
+    opt-in because it presumes a real (Laplacian-driven) spectrum; it reads
+    the gap of the real parts, as :func:`consensus_cluster_count` does for
+    one spectrum.
     """
     model = fit_companion(u, s, svd_tol)
     eigs = local_eigenvalues(model)
     trace, det = trace_det(model)
     bipartite = is_bipartite_spectrum(eigs) if check_bipartite else None
-    components: dict[int, np.ndarray] = {}
-    if compute_components:
-        components[vertex] = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
+    try:
+        components = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
+    except DegenerateSpectrumError:
+        components = None
     cluster_count = detect_cluster_count(eigs, max_k) if detect_clusters else None
     return SpectralReport(
         eigenvalues=eigs,
-        vertex_components=components,
+        vertex=vertex,
+        components=components,
         trace_estimate=trace,
         det_estimate=det,
         bipartite=bipartite,

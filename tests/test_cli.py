@@ -64,8 +64,8 @@ class TestOptionSurface:
         rep = tmp_path / "rep.json"
         assert run("analyze", traj, "--vertex", "1", "--out", rep, "--quiet") == 0
         assert self._parameters(tmp_path / "rep.json.manifest.json") == {
-            "command", "trajectory", "vertex", "delays", "no_bipartite", "no_components",
-            "gap", "max_k", "out", "tol_rank", "tol_distinct",
+            "command", "trajectory", "vertex", "delays", "gap", "max_k", "out", "tol_rank",
+            "tol_distinct",
         }
         labels = tmp_path / "labels.json"
         assert run("cluster", traj, "--k", "2", "--out", labels, "--quiet") == 0
@@ -88,6 +88,9 @@ class TestOptionSurface:
         ("localizability", "s.json", "--seed", "3"),
         ("localizability", "s.json", "--tol-distinct", "1e-8"),
         ("analyze", "t.csv", "--seed", "3"),
+        # analyze always reports bipartiteness and the components the data determine
+        ("analyze", "t.csv", "--no-bipartite", "--quiet"),
+        ("analyze", "t.csv", "--no-components", "--quiet"),
         ("cluster", "t.csv", "--seed", "3"),
         ("demo", "fig1", "--out", "x"),
         ("demo", "fig1", "--tol-rank", "1e-8"),
@@ -100,6 +103,12 @@ class TestOptionSurface:
         assert info.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_option_count(self):
+        commands = next(a for a in build_parser()._actions if a.choices).choices.values()
+        options = [a for p in commands for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+        assert len(options) == 40
 
 
 class TestParser:
@@ -290,6 +299,49 @@ class TestGenerate:
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
+    def test_non_finite_adjacency_weight_fails_without_writing(self, tmp_path, capsys):
+        adj = tmp_path / "adj.json"
+        assert run("generate", "sbm", "--sizes", "3,3", "--out", adj, "--quiet") == 0
+        data = json.loads(adj.read_text())
+        data["W"][0][1] = float("nan")
+        adj.write_text(json.dumps(data))
+        out = tmp_path / "wave.json"
+        assert run("generate", "wave", "--adjacency", adj, "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "adjacency weights must be finite", "type": "ValueError"}
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+class TestNonFiniteCoupledFields:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--steps", "5", "--x0-seed", "1"),
+        ("simulate", "--steps", "5", "--x0-seed", "1", "--lift"),
+        ("simulate", "--steps", "0", "--x0-seed", "1"),
+        ("localizability", "--all"),
+    ], ids=["simulate", "lift", "zero-steps", "localizability"])
+    @pytest.mark.parametrize("field, bad", [
+        ("alpha", float("nan")), ("gamma", float("inf")), ("S", float("nan")),
+        ("epsilon", float("-inf")),
+    ])
+    def test_rejected_naming_the_field(self, tmp_path, capsys, argv, field, bad):
+        sys_file = tmp_path / "coupled.json"
+        assert run("generate", "coupled", "--out", sys_file, "--quiet") == 0
+        data = json.loads(sys_file.read_text())
+        if field == "epsilon":
+            data[field] = bad
+        elif field == "S":
+            data[field][0][1] = bad
+        else:
+            data[field][0] = bad
+        sys_file.write_text(json.dumps(data))
+        out = tmp_path / "out.file"
+        assert run(argv[0], sys_file, *argv[1:], "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        name = "coupling" if field == "S" else field
+        assert err == {"error": f"{name} must be finite", "type": "ValueError"}
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 class TestSimulate:
     def test_identity_constant_rows(self, tmp_path):
         sys_file = tmp_path / "id.json"
@@ -437,6 +489,40 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError"
         assert "line 3" in err["error"]
+
+
+# A localizable directed path 1 -> 2 -> 3 -> 4: every eigenvalue is 0, so
+# the spectrum is bipartite and no vertex's components are determined.
+PATH_SYSTEM = '{"n": 4, "A": [[0,0,0,0],[1,0,0,0],[0,1,0,0],[0,0,1,0]]}'
+
+
+def path_trajectory(tmp_path):
+    sys_file, traj = tmp_path / "path.json", tmp_path / "path.csv"
+    sys_file.write_text(PATH_SYSTEM)
+    assert run("simulate", sys_file, "--steps", "20", "--x0", "1,2,3,4",
+               "--out", traj, "--quiet") == 0
+    return traj
+
+
+class TestCoincidingEigenvalues:
+    def test_analyze_reports_without_components(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run("analyze", path_trajectory(tmp_path), "--vertex", "4",
+                   "--out", out, "--quiet") == 0
+        report = json.loads(out.read_text())
+        assert report["eigenvalues"] == [{"re": 0.0, "im": 0.0}] * 4
+        assert report["bipartite"] is True
+        assert report["vertex_components"] == {}
+
+    def test_cluster_fails_naming_a_vertex(self, tmp_path, capsys):
+        traj = path_trajectory(tmp_path)
+        out = tmp_path / "labels.json"
+        assert run("cluster", traj, "--k", "2", "--out", out, "--quiet") == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["type"] == "DegenerateSpectrumError"
+        assert "vertex 1 " in err["error"]
+        assert not out.exists() and not (tmp_path / "labels_components.csv").exists()
 
 
 class TestCluster:

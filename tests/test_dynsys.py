@@ -131,6 +131,13 @@ class TestNormalizedLaplacian:
         with pytest.raises(ValueError, match="symmetric"):
             normalized_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN != NaN, so the symmetry check alone would misname the fault
+        w = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="adjacency weights must be finite"):
+            normalized_laplacian(w)
+
 
 def quadratic_wave_roots(mu, c):
     """Oracle: the two roots of x**2 - (2 - c**2 mu) x + 1 per Laplacian eigenvalue."""
@@ -374,6 +381,20 @@ class TestValidation:
         states[3, 0] = bad
         with pytest.raises(ValueError, match="step 2 is not"):
             Trajectory(states)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "coupling", "epsilon"])
+    def test_coupled_fields_must_be_finite(self, field, bad):
+        fields = dict(alpha=[-0.5, -0.2], beta=[1.0, 1.5], gamma=[-0.5, -0.1],
+                      coupling=[[0.0, 1.0], [1.0, 0.0]], epsilon=0.1)
+        if field == "epsilon":
+            fields[field] = bad
+        elif field == "coupling":
+            fields[field] = [[0.0, bad], [1.0, 0.0]]
+        else:
+            fields[field] = [fields[field][0], bad]
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            CoupledCellSystem(**fields)
 
     def test_coupling_diagonal_must_be_zero(self):
         with pytest.raises(ValueError):

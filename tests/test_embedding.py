@@ -9,9 +9,9 @@ from localspec import (
     LinearSystem,
     NotLocalizableError,
     bipartite_fixture,
+    delay_windows,
     exact_companion,
     fit_companion,
-    hankel_matrices,
     local_eigenvalues,
     predict,
     recover_hidden_state,
@@ -21,33 +21,38 @@ from localspec.io import example1_system
 
 
 class TestHankelMatrices:
+    # the rows of delay_windows are the rows of the series' Hankel matrix
     def test_scalar_unrolling(self):
-        x, y = hankel_matrices(np.array([1.0, 2.0, 3.0, 4.0]), s=2)
-        assert np.array_equal(x, [[1.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(y, [[2.0, 3.0], [3.0, 4.0]])
+        windows = delay_windows(np.array([1.0, 2.0, 3.0, 4.0]), 3)
+        assert np.array_equal(windows, [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+        assert np.array_equal(windows[:, :2].T, [[1.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(windows[:, 1:].T, [[2.0, 3.0], [3.0, 4.0]])
+        assert not windows.flags.writeable
 
     def test_single_delay_reduces_to_plain_pair(self):
         data = np.arange(5.0)
-        x, y = hankel_matrices(data, s=1)
-        assert np.array_equal(x[0], data[:-1])
-        assert np.array_equal(y[0], data[1:])
+        windows = delay_windows(data, 2)
+        assert np.array_equal(windows[:, 0], data[:-1])
+        assert np.array_equal(windows[:, 1], data[1:])
 
     def test_shifted_block_identity(self):
         rng = np.random.default_rng(0)
         for s in (1, 2, 3, 5):
             series = rng.standard_normal(12)
-            x, y = hankel_matrices(series, s)
-            assert np.array_equal(x[1:], y[: s - 1])
+            windows = delay_windows(series, s + 1)
+            k, j = np.indices(windows.shape)
+            assert np.array_equal(windows, series[k + j])
+            assert np.array_equal(windows[1:, :s], windows[:-1, 1:])
 
     def test_vector_observations(self):
         # the embedding is of one scalar series; a (steps, p) array is rejected
         states = np.random.default_rng(1).standard_normal((9, 3))
         with pytest.raises(ValueError, match="scalar series"):
-            hankel_matrices(states, s=3)
+            delay_windows(states, 4)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            hankel_matrices(np.ones(3), s=3)
+            delay_windows(np.ones(3), 4)
 
 
 class TestFitCompanion:
@@ -83,12 +88,19 @@ class TestFitCompanion:
         with pytest.raises(ValueError):
             fit_companion(np.ones(5), s=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_rank_tolerance_must_be_finite_and_positive(self, bad):
+        # NaN would cut every singular value and return all-zero weights
+        u = simulate_local(bipartite_fixture(), np.arange(1.0, 7.0), 24, 1)
+        with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
+            fit_companion(u, 6, svd_tol=bad)
+
     def test_residual_in_data_units(self):
         u = 1e3 * np.random.default_rng(4).standard_normal(30) * 1.2 ** np.arange(30)
         model = fit_companion(u, 3)
-        x, y = hankel_matrices(u, 3)
-        assert model.residual == pytest.approx(np.linalg.norm(x.T @ model.weights - y[-1]),
-                                               rel=1e-12)
+        windows = delay_windows(u, 4)
+        assert model.residual == pytest.approx(
+            np.linalg.norm(windows[:, :3] @ model.weights - windows[:, 3]), rel=1e-12)
 
     @pytest.mark.parametrize("steps", [24, 60, 120])
     def test_growing_bipartite_series_keeps_its_spectrum(self, steps):

@@ -1,6 +1,7 @@
 """The least-squares solver against a truncated-SVD oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,3 +55,11 @@ class TestLstsqMinNorm:
         ref, ref_rank = truncated_svd_oracle(a, b, REL_TOL)
         assert rank == ref_rank == planted
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestNumericRank:
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("sigma", [np.zeros(0), np.array([2.0, 1.0])], ids=["empty", "2"])
+    def test_tolerance_must_be_finite_and_positive(self, bad, sigma):
+        with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
+            numeric_rank(sigma, bad)

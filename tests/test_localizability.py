@@ -138,6 +138,20 @@ class TestHautus:
         a = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
         assert not hautus_localizable(LinearSystem(a), 1)
 
+    @pytest.mark.parametrize("a", [0.5, 0.0])
+    def test_one_state_agrees_with_rank_criterion(self, a):
+        sys = LinearSystem([[a]])
+        assert hautus_localizable(sys, 1)
+        assert is_localizable(sys, 1).localizable
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("test", [is_localizable, hautus_localizable],
+                         ids=["rank", "hautus"])
+def test_rank_tolerance_must_be_finite_and_positive(test, bad):
+    with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
+        test(bipartite_fixture(), 1, bad)
+
 
 def strongly_connected_oracle(a):
     """One strong component by scipy's csgraph: the reference."""

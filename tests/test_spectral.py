@@ -1,7 +1,11 @@
 """Eigenvalue, eigenvector-component, and clustering recovery from local data."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import growing_states, random_localizable_system, random_system
 from localspec import (
@@ -18,10 +22,12 @@ from localspec import (
     generate_sbm,
     is_bipartite_spectrum,
     is_localizable,
+    is_strongly_connected,
     local_eigenvalues,
     local_eigenvector_components,
     multiset_distance,
     normalized_laplacian,
+    simulate,
     simulate_local,
     sort_eigenvalues,
     trace_det,
@@ -121,6 +127,11 @@ class TestEigenvectorComponents:
         u = 0.5 ** np.arange(8)
         c = local_eigenvector_components(u, np.array([0.5]))
         assert c[0] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_rank_tolerance_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
+            local_eigenvector_components(0.5 ** np.arange(8), np.array([0.5]), svd_tol=bad)
 
     def test_matches_eigendecomposition_oracle(self):
         for seed in range(25):
@@ -321,8 +332,9 @@ class TestDecentralizedLabels:
         rng = np.random.default_rng(3)
         comps = {v: rng.standard_normal(4) + 0j for v in range(1, 8)}
         labels = decentralized_cluster_labels(comps, 3)
-        scaled = {v: 7.5 * c for v, c in comps.items()}
-        assert decentralized_cluster_labels(scaled, 3) == labels
+        for factor in (7.5, 1e-12):
+            scaled = {v: factor * c for v, c in comps.items()}
+            assert decentralized_cluster_labels(scaled, 3) == labels
 
     def test_mode_sign_flip_preserves_partition(self):
         rng = np.random.default_rng(4)
@@ -344,6 +356,46 @@ class TestDecentralizedLabels:
         assert partition(flipped) == partition(labels)
 
 
+def sbm_states(seed: int) -> np.ndarray | None:
+    """States x(0..150) of x(k+1) = (I - L/2) x(k) on an SBM [5,5,5] draw, or
+    None when the draw is not connected."""
+    w = generate_sbm([5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=seed)
+    if not is_strongly_connected(w):
+        return None
+    a = np.eye(15) - 0.5 * normalized_laplacian(w)
+    x0 = np.random.default_rng(seed).standard_normal(15)
+    return simulate(LinearSystem(a), x0, 150).states
+
+
+def sign_partition(states: np.ndarray, k: int = 3) -> frozenset:
+    """Vertex sets of the sign-pattern labels, each vertex fitted from its column."""
+    comps = {v: analyze_vertex(states[:, v - 1], states.shape[1], vertex=v).components
+             for v in range(1, states.shape[1] + 1)}
+    groups: dict[int, set] = {}
+    for v, label in decentralized_cluster_labels(comps, k).items():
+        groups.setdefault(label, set()).add(v)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
+class TestLabelProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 6))
+    def test_partition_independent_of_units(self, seed, exponent):
+        states = sbm_states(seed)
+        assume(states is not None)
+        assert sign_partition(10.0**exponent * states) == sign_partition(states)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
+    def test_labels_equivariant_under_vertex_permutation(self, seed, perm_seed):
+        states = sbm_states(seed)
+        assume(states is not None)
+        perm = np.random.default_rng(perm_seed).permutation(15)  # new vertex j is old perm[j]
+        moved = sign_partition(states[:, perm])
+        back = frozenset(frozenset(int(perm[v - 1]) + 1 for v in g) for g in moved)
+        assert back == sign_partition(states)
+
+
 class TestAnalyzeVertex:
     def test_series_beyond_1e154_analyzed_without_overflow(self):
         # pytest turns an overflow RuntimeWarning into a failure here
@@ -351,7 +403,24 @@ class TestAnalyzeVertex:
         for v in range(1, states.shape[1] + 1):
             report = analyze_vertex(states[:, v - 1], states.shape[1], vertex=v)
             assert np.all(np.isfinite(report.eigenvalues))
-            assert np.all(np.isfinite(report.vertex_components[v]))
+            assert report.vertex == v
+            assert np.all(np.isfinite(report.components))
+
+    def test_coinciding_eigenvalues_leave_components_unset(self):
+        # the directed path 1 -> 2 -> 3 -> 4 is nilpotent: four zero eigenvalues
+        path = LinearSystem(np.eye(4, k=-1))
+        u = simulate_local(path, [1.0, 2.0, 3.0, 4.0], 20, 4)
+        report = analyze_vertex(u, 4, vertex=4)
+        assert np.array_equal(report.eigenvalues, np.zeros(4))
+        assert report.bipartite is True
+        assert report.vertex == 4 and report.components is None
+        assert report.to_json_dict()["vertex_components"] == {}
+        with pytest.raises(DegenerateSpectrumError):
+            local_eigenvector_components(u, report.eigenvalues)
+
+    def test_no_component_switch(self):
+        params = inspect.signature(analyze_vertex).parameters
+        assert "compute_components" not in params and len(params) == 8
 
     def test_bipartite_fixture_flag(self):
         fix = bipartite_fixture()
@@ -374,7 +443,7 @@ class TestAnalyzeVertex:
         )
         x0 = np.random.default_rng(6).standard_normal(wave.n)
         u = simulate_local(wave, x0, 500, best_v)
-        report = analyze_vertex(u, wave.n, vertex=best_v, compute_components=False)
+        report = analyze_vertex(u, wave.n, vertex=best_v)
         assert np.max(np.abs(np.abs(report.eigenvalues) - 1.0)) <= 1e-6
 
     def test_scalar_geometric_report(self):
@@ -383,7 +452,7 @@ class TestAnalyzeVertex:
         assert report.eigenvalues[0] == pytest.approx(0.5, abs=1e-10)
         assert report.trace_estimate == pytest.approx(0.5, abs=1e-10)
         assert report.det_estimate == pytest.approx(0.5, abs=1e-10)
-        assert report.vertex_components[1][0] == pytest.approx(1.0, abs=1e-8)
+        assert report.components[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_json_round_trip(self):
         import json
