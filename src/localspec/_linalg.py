@@ -33,14 +33,19 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+def check_rank_tol(rel_tol: float) -> None:
+    """ValueError unless ``rel_tol`` is finite and positive (NaN fails the comparison)."""
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rank tolerance must be finite and positive, got {rel_tol}")
+
+
 def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     """Number of singular values exceeding ``rel_tol * sigma_max``.
 
-    An all-zero (or empty) matrix has rank 0. ``rel_tol`` must be finite and
-    positive (NaN fails the comparison), else ValueError.
+    An all-zero (or empty) matrix has rank 0. ``rel_tol`` must pass
+    :func:`check_rank_tol`.
     """
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"rank tolerance must be finite and positive, got {rel_tol}")
+    check_rank_tol(rel_tol)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))

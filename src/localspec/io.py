@@ -14,6 +14,7 @@ import csv
 import json
 from fractions import Fraction
 from importlib import resources
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,56 @@ def load_trajectory(path) -> np.ndarray:
     Rejects, naming the 1-based CSV line the row ends on, a row whose value
     count differs from the header's and a value that is not a number, NaN or
     infinite.
+
+    The file is read once. Files laid out as :func:`save_trajectory` writes
+    them are parsed by numpy's C reader (:func:`_parse_saved_table`); any
+    other file, and every file that is rejected, goes through the csv reader,
+    so both give the same states and the same messages.
     """
+    with open(path, "rb") as fh:
+        states = _parse_saved_table(fh.read())
+    return _read_trajectory_csv(path) if states is None else states
+
+
+# The bytes below the header of a file save_trajectory writes: integer keys,
+# %.17g doubles, commas and CRLF line ends. On these bytes numpy's parser and
+# float() accept the same numbers and round them alike, which is not so for
+# other bytes (np.loadtxt takes "1\x1c", float() does not).
+_TABLE_BYTES = b"0123456789+-.e,\r\n"
+
+
+def _parse_saved_table(data: bytes) -> np.ndarray | None:
+    """The states of trajectory CSV bytes, or None where the csv reader must decide.
+
+    The header line must be ASCII, with neither '"' nor a bare carriage
+    return, so that it is the csv reader's first record; the rest must be
+    :data:`_TABLE_BYTES` and start with a value, so np.loadtxt finds data.
+    np.loadtxt rejects a carriage return inside a line and skips empty lines,
+    which the csv reader reports; so a table with as many rows as the rest
+    has lines, as wide as the header, holds every csv record. Its states are
+    returned only when all are finite.
+    """
+    head, _, body = data.partition(b"\n")
+    head = head.removesuffix(b"\r")
+    if (not head.isascii() or b'"' in head or b"\r" in head
+            or body[:1] in (b"", b"\r", b"\n") or body.translate(None, _TABLE_BYTES)):
+        return None
+    header = next(csv.reader([head.decode()]), [])
+    if len(header) < 2 or header[0] != "k":
+        return None
+    try:
+        table = np.loadtxt(BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    states = table[:, 1:]
+    if table.shape != (lines, len(header)) or not np.isfinite(states).all():
+        return None
+    return np.ascontiguousarray(states)
+
+
+def _read_trajectory_csv(path) -> np.ndarray:
+    """:func:`load_trajectory` by the csv reader: one float() per value."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # [] for an empty file

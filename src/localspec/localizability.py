@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_TOL, lstsq_min_norm
+from ._linalg import DEFAULT_RANK_TOL, check_rank_tol, lstsq_min_norm
 from ._linalg import numeric_rank, singular_values
 from .dynsys import LinearSystem
 
@@ -116,8 +116,9 @@ def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_
     [lam I - A22; a12^T] must have full column rank n - 1; complex
     eigenvalues make the stack complex and rank is taken over C. A
     1-dimensional system has an empty A22 and passes vacuously, as in
-    :func:`is_localizable`.
+    :func:`is_localizable`; ``rel_tol`` is checked there too.
     """
+    check_rank_tol(rel_tol)
     _, a12, _, a22 = _split_blocks(sys.a, vertex)
     eye = np.eye(sys.n - 1)
     for lam in np.linalg.eigvals(a22):
@@ -139,12 +140,11 @@ def recover_hidden_state(
     contributions that reach the observed vertex through its own past:
     b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
     The returned components keep the original vertex order with ``vertex``
-    removed. Raises :class:`NotLocalizableError` when :func:`is_localizable`
-    finds R numerically singular at ``rel_tol``.
+    removed, so a 1-dimensional system has the empty hidden state. Raises
+    :class:`NotLocalizableError` when :func:`is_localizable` finds R
+    numerically singular at ``rel_tol``.
     """
     n = sys.n
-    if n < 2:
-        raise ValueError("hidden-state recovery needs n >= 2")
     window = np.asarray(window, dtype=float).reshape(-1)
     if window.shape[0] != n:
         raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")

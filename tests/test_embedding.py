@@ -214,6 +214,13 @@ class TestRecoverHiddenState:
             hidden_true = np.delete(x0, vertex - 1)
             assert np.allclose(v, hidden_true, atol=1e-7)
 
+    def test_one_state_has_an_empty_hidden_state(self):
+        sys = LinearSystem([[0.5]])
+        v = recover_hidden_state(sys, 1, [1.0])
+        assert v.shape == (0,) and v.dtype == float
+        with pytest.raises(ValueError, match="window must hold n = 1 values, got 2"):
+            recover_hidden_state(sys, 1, [1.0, 0.5])
+
     def test_non_localizable_raises_with_singular_values(self):
         sys = example1_system("left")
         with pytest.raises(NotLocalizableError) as info:

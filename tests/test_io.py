@@ -364,6 +364,144 @@ class TestWriteTable:
         assert np.array_equal(load_trajectory(path).view(np.int64), states.view(np.int64))
 
 
+def _oracle_load_trajectory(path) -> np.ndarray:
+    """The earlier loader: csv.reader with one float() per value."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])  # [] for an empty file
+        if len(header) < 2 or header[0] != "k":
+            raise ValueError("trajectory CSV must start with a 'k,x1,...' header")
+        width = len(header) - 1
+        rows, lines = [], []  # lines[i]: the CSV line on which rows[i] ends
+        for row in reader:
+            values = row[1:]
+            if len(values) != width:
+                raise ValueError(f"trajectory CSV line {reader.line_num} holds "
+                                 f"{len(values)} values, the header names {width}")
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:  # float() names the value, the reader the line
+                raise ValueError(
+                    f"trajectory CSV line {reader.line_num} holds a value that is not a "
+                    f"number ({exc})"
+                ) from None
+            lines.append(reader.line_num)
+    if not rows:
+        raise ValueError("trajectory CSV holds no states")
+    states = np.array(rows, dtype=float)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise ValueError(f"trajectory CSV line {line} holds a non-finite value")
+    return states
+
+
+def _load_outcome(load, path):
+    """What ``load`` gives for ``path``: the states' shape and bits, or the error."""
+    try:
+        states = load(path)
+    except Exception as exc:  # csv.Error and UnicodeDecodeError must match as well
+        return type(exc), str(exc)
+    return states.shape, states.view(np.int64).tobytes()
+
+
+def _assert_loads_as_the_oracle(path):
+    assert _load_outcome(load_trajectory, path) == _load_outcome(_oracle_load_trajectory, path)
+
+
+# The characters of trajectory files and of their usual faults, and control
+# and non-ASCII characters that float() and np.loadtxt strip differently.
+CSV_ALPHABET = '0123456789.,-+enaifkx_"\r\n \t\x0b\x0c\x1c\x00\xe9\ufeff'
+# Rows of numbers, faulty numbers and blank lines, so that drawn texts are
+# often tables and often fail in one place only.
+csv_fields = st.one_of(st.sampled_from(["0", "-1.5", "2e-3", "+4", "1e308"]),
+                       st.sampled_from(["1_0", " 5", "6\t", "7\x1c", "\x0c8", "nan", "-inf", "1e999",
+                                        '"9"', "k", "\ufeff1", "1\x00", ""]))
+csv_rows = st.one_of(
+    st.tuples(st.lists(csv_fields, min_size=2, max_size=3).map(",".join),
+              st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join),
+    st.sampled_from(["\n", "\r\n", " \n", "\r"]))
+
+
+class TestTrajectoryLoaderMatchesTheCsvReader:
+    """load_trajectory gives the csv reader's bits or the csv reader's error."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("k,x1\r\n0,1\r\n\r\n1,2\r\n", "line 3 holds 0 values, the header names 1"),
+        ("k,x1\n0,1\n  \n1,2\n", "line 3 holds 0 values, the header names 1"),
+        ("k,x1\n0,1\n\r", "line 3 holds 0 values, the header names 1"),
+        ('k,x1,x2\n0,"1.0\n",2\n1,3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+        ("k,x1\nzero,1\none,2\n", [[1.0], [2.0]]),
+        ("k,x1\n0,1_000\n", [[1000.0]]),
+        ("k,x1\n0,1\x1c\n", "line 2 holds a value that is not a number"),
+        ("k,x1,x2\r\n0,1,2\r\n1,3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        ("k,x1,x2\n0,1,2\n1,3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        ("k,x1\r0,1\r1,2\r", [[1.0], [2.0]]),
+        ("k,x1\n0,1\n1,1e999\n", "line 3 holds a non-finite value"),
+        ("k,x1,x2\r\n", "holds no states"),
+        ("k,x1,x2", "holds no states"),
+        ("\ufeffk,x1\n0,1\n", "must start with a 'k,x1,...' header"),
+        ("k,x1\r0,1\n1,2\n", [[1.0], [2.0]]),
+        ('k,"x1\n0,1\n', "holds no states"),
+        ('k,"x\n1",x2\n0,1,2\n', [[1.0, 2.0]]),
+        (b"k," + b"x" * 9000 + b"\xff\n0,1\n", "can't decode byte 0xff"),
+    ], ids=["blank line", "whitespace line", "carriage-return line", "multi-line field",
+            "non-numeric k", "underscore", "file separator", "CRLF, no last newline",
+            "LF, no last newline", "bare CR", "overflow", "header only",
+            "header only, no newline", "BOM", "CR in header", "unclosed quote in header",
+            "multi-line header", "long non-UTF-8 header"])
+    def test_pinned_case(self, tmp_path, text, expected):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        _assert_loads_as_the_oracle(path)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                load_trajectory(path)
+        else:
+            assert np.array_equal(load_trajectory(path), expected)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from(["", "k,x1\n", "k,x1,x2\r\n", "k,x1,x2\n"]),
+           text=st.one_of(st.text(CSV_ALPHABET, max_size=40),
+                          st.lists(csv_rows, max_size=4).map("".join)))
+    def test_drawn_text(self, tmp_path, header, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes((header + text).encode())
+        _assert_loads_as_the_oracle(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(states=tables(), data=st.data())
+    def test_mutated_saved_file(self, tmp_path, states, data):
+        path = tmp_path / "t.csv"
+        save_trajectory(path, states)
+        text = path.read_bytes().decode()
+        for _ in range(data.draw(st.integers(1, 3))):
+            # a field's edges, where float() and np.loadtxt strip what they strip
+            edges = [i + side for i, c in enumerate(text) if c in ",\r\n" for side in (0, 1)]
+            at = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(edges)))
+            edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            char = data.draw(st.sampled_from(CSV_ALPHABET))
+            text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+        path.write_bytes(text.encode())
+        _assert_loads_as_the_oracle(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(states=tables())
+    def test_saved_files_never_reach_the_csv_reader(self, tmp_path, monkeypatch, states):
+        def fail(path):
+            raise AssertionError(f"{path} went to the csv reader")
+
+        monkeypatch.setattr("localspec.io._read_trajectory_csv", fail)
+        path = tmp_path / "t.csv"
+        save_trajectory(path, states)
+        loaded = load_trajectory(path)
+        assert loaded.flags.c_contiguous
+        assert np.array_equal(loaded.view(np.int64), states.view(np.int64))
+
+
 class TestWriteJson:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_without_a_file(self, tmp_path, bad):
