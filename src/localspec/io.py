@@ -25,15 +25,23 @@ EXAMPLE1_NAMES = ("left", "middle", "right")
 
 
 def parse_entry(value) -> float:
-    """A JSON entry: a number (not a boolean), or a "p/q" rational string."""
+    """A JSON entry: a number (not a boolean), or a "p/q" rational string.
+
+    An integer or rational beyond the largest double is a ValueError.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+        number = value
+    elif isinstance(value, str):
         try:
-            return float(Fraction(value))
+            number = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"entry {value!r} has a zero denominator") from None
-    raise ValueError(f"entries must be numbers or 'p/q' strings, got {value!r}")
+    else:
+        raise ValueError(f"entries must be numbers or 'p/q' strings, got {value!r}")
+    try:
+        return float(number)
+    except OverflowError:
+        raise ValueError("value is outside the float range") from None
 
 
 def _parse_field(value, where, entry=None) -> float:
@@ -224,16 +232,25 @@ def _parse_saved_table(data: bytes) -> np.ndarray | None:
     return np.ascontiguousarray(states)
 
 
+def _records(reader):
+    """The records of a csv reader; its csv.Error becomes a ValueError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"trajectory CSV line {reader.line_num}: {exc}") from None
+
+
 def _read_trajectory_csv(path) -> np.ndarray:
     """:func:`load_trajectory` by the csv reader: one float() per value."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])  # [] for an empty file
+        records = _records(reader)
+        header = next(records, [])  # [] for an empty file
         if len(header) < 2 or header[0] != "k":
             raise ValueError("trajectory CSV must start with a 'k,x1,...' header")
         width = len(header) - 1
         rows, lines = [], []  # lines[i]: the CSV line on which rows[i] ends
-        for row in reader:
+        for row in records:
             values = row[1:]
             if len(values) != width:
                 raise ValueError(f"trajectory CSV line {reader.line_num} holds "

@@ -9,6 +9,7 @@ hidden-state reconstruction, which solves R v(k) = b(k) here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,49 +48,72 @@ class LocalizabilityReport:
         }
 
 
-def _split_blocks(a: np.ndarray, vertex: int):
-    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with ``vertex`` first.
+# Doubles of R that localizable_everywhere builds and decomposes at once. At
+# 1 MB the stacked A22 of a block stays in a 2 MB L2 cache next to the rows
+# being written; every system with n <= 50 is one block.
+BLOCK_DOUBLES = 2**17
+
+
+def _split_blocks(a: np.ndarray, vertices: Sequence[int]):
+    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with each of
+    ``vertices`` first, stacked along a leading axis of length len(vertices).
 
     The similarity P^T A P keeps the other vertices in their order, so hidden
     components keep their original ordering; the spectrum is unchanged.
     """
     n = a.shape[0]
-    if not 1 <= vertex <= n:
-        raise ValueError(f"vertex {vertex} out of range 1..{n}")
-    order = [vertex - 1, *range(vertex - 1), *range(vertex, n)]
-    p = a[np.ix_(order, order)]
-    return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
+    vertices = np.asarray(vertices).reshape(-1)
+    outside = (vertices < 1) | (vertices > n)
+    if outside.any():
+        raise ValueError(f"vertex {vertices[outside][0]} out of range 1..{n}")
+    others = np.arange(n - 1)
+    order = np.column_stack([vertices - 1, others + (others >= vertices[:, None] - 1)])
+    p = a[order[:, :, None], order[:, None, :]]
+    return p[:, 0, 0], p[:, 0, 1:], p[:, 1:, 0], p[:, 1:, 1:]
 
 
-def r_matrix(sys: LinearSystem, vertex: int) -> np.ndarray:
+def r_matrix(sys: LinearSystem, vertex: int | Sequence[int]) -> np.ndarray:
     """Stacked rows a12^T A22^l for l = 0..n-2, built by iterated row products.
 
     Row-vector times matrix per step keeps the cost at O(n^3) total and
     avoids forming explicit powers of A22. A 1-dimensional system has the
-    empty 0 x 0 R. Raises ValueError when a row overflows.
+    empty 0 x 0 R. A sequence of k vertices gives the k x (n-1) x (n-1)
+    stack of their R, one matmul per step for all of them. Raises
+    ValueError when a row overflows, naming the lowest vertex whose R does.
     """
-    _, a12, _, a22 = _split_blocks(sys.a, vertex)
-    rows = np.empty((sys.n - 1, sys.n - 1))
-    rows[:1] = a12
+    vertices = np.asarray(vertex).reshape(-1)
+    _, a12, _, a22 = _split_blocks(sys.a, vertices)
+    rows = np.empty((vertices.size, sys.n - 1, sys.n - 1))
+    rows[:, :1] = a12[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for l in range(1, sys.n - 1):
-            rows[l] = rows[l - 1] @ a22
-    if not np.isfinite(rows).all():
-        raise ValueError(f"R of vertex {vertex} overflows: its rows exceed the float range")
-    return rows
+            np.matmul(rows[:, l - 1 : l], a22, out=rows[:, l : l + 1])
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"R of vertex {vertices[~finite].min()} overflows: its rows "
+                         "exceed the float range")
+    return rows if np.ndim(vertex) else rows[0]
 
 
 def is_localizable(
-    sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_RANK_TOL
+    sys: LinearSystem,
+    vertex: int,
+    rel_tol: float = DEFAULT_RANK_TOL,
+    *,
+    stacked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalizabilityReport:
     """Numeric-rank test of R; localizable iff rank(R) = n - 1.
 
     A 1-dimensional system has an empty R and is localizable vacuously.
     ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
     genuine modelling choice for near-deficient R, hence always exposed.
+    ``stacked`` is this vertex's ``(R, singular values)`` when a caller has
+    already computed them for a block of vertices.
     """
-    r = r_matrix(sys, vertex)
-    sigma = singular_values(r)
+    if stacked is None:
+        r = r_matrix(sys, vertex)
+        stacked = r, singular_values(r)
+    r, sigma = stacked
     rank = numeric_rank(sigma, rel_tol)
     return LocalizabilityReport(
         vertex=vertex,
@@ -104,9 +128,22 @@ def is_localizable(
 def localizable_everywhere(
     sys: LinearSystem, rel_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[bool, list[LocalizabilityReport]]:
-    """Conjunction of :func:`is_localizable` over all vertices, reports retained."""
-    reports = [is_localizable(sys, v, rel_tol) for v in range(1, sys.n + 1)]
-    return all(r.localizable for r in reports), reports
+    """Conjunction of :func:`is_localizable` over all vertices, reports retained.
+
+    The vertices go in blocks of about :data:`BLOCK_DOUBLES` doubles of R:
+    one :func:`r_matrix` stack and one batched SVD per block, then one
+    :func:`is_localizable` report per vertex.
+    """
+    check_rank_tol(rel_tol)
+    size = max(1, BLOCK_DOUBLES // sys.n**2)
+    reports = []
+    for first in range(1, sys.n + 1, size):
+        block = range(first, min(first + size, sys.n + 1))
+        r = r_matrix(sys, block)
+        sigma = singular_values(r)
+        reports += [is_localizable(sys, v, rel_tol, stacked=(r_v, sigma_v))
+                    for v, r_v, sigma_v in zip(block, r, sigma)]
+    return all(rep.localizable for rep in reports), reports
 
 
 def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -119,7 +156,7 @@ def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_
     :func:`is_localizable`; ``rel_tol`` is checked there too.
     """
     check_rank_tol(rel_tol)
-    _, a12, _, a22 = _split_blocks(sys.a, vertex)
+    _, a12, _, a22 = (block[0] for block in _split_blocks(sys.a, [vertex]))
     eye = np.eye(sys.n - 1)
     for lam in np.linalg.eigvals(a22):
         stacked = np.vstack([lam * eye - a22, a12[None, :]])
@@ -155,7 +192,7 @@ def recover_hidden_state(
             f"(numeric rank {report.numeric_rank} of {n - 1})",
             singular_values=report.singular_values,
         )
-    a11, _, a21, _ = _split_blocks(sys.a, vertex)
+    a11, _, a21, _ = (block[0] for block in _split_blocks(sys.a, [vertex]))
     feedthrough = report.r_matrix @ a21  # entry l is a12^T A22^l a21
 
     b = np.empty(n - 1)

@@ -312,6 +312,38 @@ class TestGenerate:
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
+# JSON integer text beyond the largest double, about 1.8e308
+HUGE = "1" + "0" * 400
+
+
+class TestEntriesOutsideTheFloatRange:
+    @pytest.mark.parametrize("entry", [HUGE, f'"{HUGE}/3"'], ids=["integer", "rational"])
+    @pytest.mark.parametrize("argv", [
+        ("localizability", "--all"),
+        ("simulate", "--steps", "5", "--x0-seed", "1"),
+    ], ids=["localizability", "simulate"])
+    def test_system_file_fails_naming_the_entry(self, tmp_path, capsys, argv, entry):
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(f'{{"A": [[0.5, {entry}], [1, 0.5]]}}')
+        out = tmp_path / "out.file"
+        assert run(argv[0], sys_file, *argv[1:], "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "'A' row 1 entry 2: value is outside the float range",
+                       "type": "ValueError"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [HUGE, f'"-{HUGE}/3"'], ids=["integer", "rational"])
+    def test_adjacency_file_fails_naming_the_entry(self, tmp_path, capsys, entry):
+        adj = tmp_path / "adj.json"
+        adj.write_text(f'{{"W": [[0, 1], [{entry}, 0]]}}')
+        out = tmp_path / "wave.json"
+        assert run("generate", "wave", "--adjacency", adj, "--out", out, "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "'W' row 2 entry 1: value is outside the float range",
+                       "type": "ValueError"}
+        assert not out.exists()
+
+
 class TestNonFiniteCoupledFields:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--steps", "5", "--x0-seed", "1"),
@@ -489,6 +521,14 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError"
         assert "line 3" in err["error"]
+
+    def test_csv_field_beyond_the_reader_limit_fails_naming_the_line(self, tmp_path, capsys):
+        traj = tmp_path / "long.csv"
+        traj.write_text(f'k,x1\n0,1.0\n1,"{"0" * 140_000}1"\n')
+        assert run("analyze", traj, "--vertex", "1", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "trajectory CSV line 3: field larger than field limit (131072)",
+                       "type": "ValueError"}
 
 
 # A localizable directed path 1 -> 2 -> 3 -> 4: every eigenvalue is 0, so

@@ -73,6 +73,34 @@ class TestMatrixParsing:
             loader(path)
 
 
+# JSON integer text beyond the largest double, about 1.8e308
+HUGE = "1" + "0" * 400
+
+
+class TestEntriesOutsideTheFloatRange:
+    @pytest.mark.parametrize("value", [int(HUGE), -int(HUGE), f"{HUGE}/3", f"-{HUGE}/3"],
+                             ids=["integer", "negative", "rational", "negative-rational"])
+    def test_parse_entry_rejects(self, value):
+        with pytest.raises(ValueError, match="value is outside the float range"):
+            parse_entry(value)
+
+    @pytest.mark.parametrize("entry", [HUGE, f'"{HUGE}/3"'], ids=["integer", "rational"])
+    @pytest.mark.parametrize("key, loader", [("A", load_system), ("W", load_adjacency)])
+    def test_file_rejected_naming_the_entry(self, tmp_path, key, loader, entry):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"{key}": [[1, 0], [{entry}, 1]]}}')
+        with pytest.raises(ValueError,
+                           match=f"'{key}' row 2 entry 1: value is outside the float range"):
+            loader(path)
+
+    def test_coupled_field_rejected_naming_the_key(self, tmp_path):
+        path = tmp_path / "coupled.json"
+        payload = json.dumps(_coupled_payload(tmp_path, epsilon="EPSILON"))
+        path.write_text(payload.replace('"EPSILON"', HUGE))
+        with pytest.raises(ValueError, match="'epsilon': value is outside the float range"):
+            load_system(path)
+
+
 class TestSystemFiles:
     def test_linear_round_trip(self, tmp_path):
         sys = LinearSystem(np.random.default_rng(0).standard_normal((4, 4)))
@@ -283,6 +311,13 @@ class TestTrajectoryCsv:
         path = tmp_path / "narrow.csv"
         path.write_text("k,x1,x2,x3\n0,1.0,2.0\n1,3.0,4.0\n")
         with pytest.raises(ValueError, match="line 2 holds 2 values, the header names 3"):
+            load_trajectory(path)
+
+    def test_field_beyond_the_csv_reader_limit_rejected_naming_the_line(self, tmp_path):
+        # the quote sends the file to the csv reader, which caps a field at 131072 characters
+        path = tmp_path / "long.csv"
+        path.write_text(f'k,x1\n0,1.0\n1,"{"0" * 140_000}1"\n')
+        with pytest.raises(ValueError, match="trajectory CSV line 3: field larger than field limit"):
             load_trajectory(path)
 
     @pytest.mark.parametrize(

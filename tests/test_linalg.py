@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localspec._linalg import lstsq_min_norm, numeric_rank
+from localspec._linalg import lstsq_min_norm, numeric_rank, singular_values
 
 REL_TOL = 1e-10
 
@@ -63,3 +63,18 @@ class TestNumericRank:
     def test_tolerance_must_be_finite_and_positive(self, bad, sigma):
         with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
             numeric_rank(sigma, bad)
+
+
+class TestSingularValues:
+    def test_stack_gives_each_matrix_its_own_values_bit_for_bit(self):
+        stack = np.random.default_rng(0).standard_normal((4, 5, 5))
+        sigma = singular_values(stack)
+        assert sigma.shape == (4, 5)
+        for row, matrix in zip(sigma, stack):
+            assert np.array_equal(row, singular_values(matrix))
+
+    @pytest.mark.parametrize("shape, expected", [
+        ((0, 0), (0,)), ((3, 0), (0,)), ((4, 0, 0), (4, 0)),
+    ])
+    def test_empty_matrices_have_no_values(self, shape, expected):
+        assert singular_values(np.zeros(shape)).shape == expected

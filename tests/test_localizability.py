@@ -1,5 +1,7 @@
 """Rank-of-R and Hautus localizability tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -14,10 +16,13 @@ from localspec import (
     hautus_localizable,
     is_localizable,
     is_strongly_connected,
+    localizability,
     localizable_everywhere,
     r_matrix,
 )
+from localspec._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
 from localspec.io import example1_system
+from localspec.localizability import BLOCK_DOUBLES, LocalizabilityReport
 
 
 class TestRMatrix:
@@ -230,3 +235,180 @@ class TestProperties:
             everywhere, _ = localizable_everywhere(sys)
             hits += everywhere
         assert hits >= 198  # >= 99% of dense gaussian systems
+
+
+# --- the stacked pass against the per-vertex oracle -----------------------------
+#
+# The three functions below are the one-vertex-at-a-time implementation that
+# localizable_everywhere replaced, kept verbatim under oracle names. The
+# stacked pass must reproduce them bit for bit.
+
+
+def _split_blocks_oracle(a: np.ndarray, vertex: int):
+    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with ``vertex`` first.
+
+    The similarity P^T A P keeps the other vertices in their order, so hidden
+    components keep their original ordering; the spectrum is unchanged.
+    """
+    n = a.shape[0]
+    if not 1 <= vertex <= n:
+        raise ValueError(f"vertex {vertex} out of range 1..{n}")
+    order = [vertex - 1, *range(vertex - 1), *range(vertex, n)]
+    p = a[np.ix_(order, order)]
+    return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
+
+
+def r_matrix_oracle(sys: LinearSystem, vertex: int) -> np.ndarray:
+    """Stacked rows a12^T A22^l for l = 0..n-2, built by iterated row products.
+
+    Row-vector times matrix per step keeps the cost at O(n^3) total and
+    avoids forming explicit powers of A22. A 1-dimensional system has the
+    empty 0 x 0 R. Raises ValueError when a row overflows.
+    """
+    _, a12, _, a22 = _split_blocks_oracle(sys.a, vertex)
+    rows = np.empty((sys.n - 1, sys.n - 1))
+    rows[:1] = a12
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for l in range(1, sys.n - 1):
+            rows[l] = rows[l - 1] @ a22
+    if not np.isfinite(rows).all():
+        raise ValueError(f"R of vertex {vertex} overflows: its rows exceed the float range")
+    return rows
+
+
+def is_localizable_oracle(
+    sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_RANK_TOL
+) -> LocalizabilityReport:
+    """Numeric-rank test of R; localizable iff rank(R) = n - 1.
+
+    A 1-dimensional system has an empty R and is localizable vacuously.
+    ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
+    genuine modelling choice for near-deficient R, hence always exposed.
+    """
+    r = r_matrix_oracle(sys, vertex)
+    sigma = singular_values(r)
+    rank = numeric_rank(sigma, rel_tol)
+    return LocalizabilityReport(
+        vertex=vertex,
+        r_matrix=r,
+        singular_values=sigma,
+        numeric_rank=rank,
+        localizable=rank == sys.n - 1,
+        tolerance_used=rel_tol,
+    )
+
+
+def _everywhere_outcome(everywhere, sys, rel_tol):
+    """The flag and every report field as bytes, or the error message."""
+    try:
+        flag, reports = everywhere(sys, rel_tol)
+    except ValueError as exc:
+        return str(exc)
+    return flag, [(r.vertex, r.r_matrix.shape, r.r_matrix.tobytes(), r.singular_values.shape,
+                   r.singular_values.tobytes(), r.numeric_rank, r.localizable, r.tolerance_used)
+                  for r in reports]
+
+
+def _oracle_everywhere(sys, rel_tol):
+    reports = [is_localizable_oracle(sys, v, rel_tol) for v in range(1, sys.n + 1)]
+    return all(r.localizable for r in reports), reports
+
+
+def _assert_matches_the_oracle(sys, rel_tol=DEFAULT_RANK_TOL):
+    expected = _everywhere_outcome(_oracle_everywhere, sys, rel_tol)
+    assert _everywhere_outcome(localizable_everywhere, sys, rel_tol) == expected
+
+
+@st.composite
+def oracle_systems(draw):
+    """Dense and sparse gaussian systems, systems with zeroed rows, and
+    systems scaled far enough up that some vertices' R overflows."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero-rows", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    if kind == "sparse":
+        a *= rng.random((n, n)) < draw(st.floats(0.05, 0.6))
+    elif kind == "zero-rows":
+        a[rng.random(n) < 0.3] = 0.0
+    elif kind == "huge":
+        a *= 10.0 ** draw(st.integers(20, 200))
+    return LinearSystem(a)
+
+
+class TestStackedPassMatchesThePerVertexOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sys=oracle_systems(), rel_tol=st.sampled_from([DEFAULT_RANK_TOL, 1e-6]))
+    def test_drawn_systems(self, sys, rel_tol):
+        _assert_matches_the_oracle(sys, rel_tol)
+
+    def test_system_across_block_boundaries(self):
+        n = 70
+        assert BLOCK_DOUBLES // n**2 < n  # more than one block
+        sys = random_system(3, n=n)
+        _assert_matches_the_oracle(sys)
+        _assert_matches_the_oracle(sys, 1e-6)
+
+    def test_overflow_named_at_the_lowest_vertex_outside_the_first_block(self):
+        # vertices 61..70 form a block of weights 1e100; their R overflows by
+        # row 4, while a12 of vertices 1..60 never reaches that block
+        n, first = 70, 61
+        assert BLOCK_DOUBLES // n**2 < first - 1
+        a = np.zeros((n, n))
+        a[:first - 1, :first - 1] = random_system(4, n=first - 1).a
+        a[first - 1:, first - 1:] = 1e100
+        sys = LinearSystem(a)
+        with pytest.raises(ValueError, match=f"R of vertex {first} overflows"):
+            localizable_everywhere(sys)
+        _assert_matches_the_oracle(sys)
+
+    def test_one_report_call_per_vertex(self, monkeypatch):
+        # the benchmark's vertex counter wraps is_localizable
+        calls = []
+        original = localizability.is_localizable
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(localizability, "is_localizable", counted)
+        n = 70
+        localizable_everywhere(random_system(5, n=n))
+        assert calls == list(range(1, n + 1))
+
+    def test_peak_memory_above_the_kept_reports(self):
+        # the reports keep every R, n (n-1)^2 doubles; the blocks add little
+        n = 100
+        sys = random_system(6, n=n)
+        kept = n * (n - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, reports = localizable_everywhere(sys)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == n
+        assert peak - kept < 4 * 2**20
+
+
+class TestRMatrixOverVertices:
+    def test_stack_equals_the_single_vertex_matrices(self):
+        sys = random_system(7, n=6)
+        stack = r_matrix(sys, [4, 1, 6])
+        assert stack.shape == (3, 5, 5)
+        for r, v in zip(stack, [4, 1, 6]):
+            assert np.array_equal(r, r_matrix(sys, v))
+
+    def test_out_of_range_vertex_named(self):
+        with pytest.raises(ValueError, match="vertex 0 out of range 1..3"):
+            r_matrix(LinearSystem(np.eye(3)), [2, 0, 4])
+
+    def test_overflow_names_the_lowest_vertex(self):
+        a = np.full((5, 5), 1e200)
+        np.fill_diagonal(a, 0.5)
+        with pytest.raises(ValueError, match="R of vertex 2 overflows"):
+            r_matrix(LinearSystem(a), [4, 2, 3])
+
+    def test_one_state_gives_a_stack_of_empty_matrices(self):
+        assert r_matrix(LinearSystem([[0.5]]), [1]).shape == (1, 0, 0)
