@@ -4,6 +4,11 @@ All rank decisions in this package go through :func:`numeric_rank`, so the
 one tolerance convention (relative to the largest singular value) is applied
 uniformly to localizability tests and least-squares solves. Every default
 tolerance of the package is defined here, once.
+
+Every least-squares fit goes through :func:`lstsq_min_norm`, which takes
+the augmented matrix ``[a | b]`` in one buffer, cuts the rank on the
+singular values of its QR triangle, solves a full-rank square triangle by
+substitution and takes the truncated SVD of any other.
 """
 
 from __future__ import annotations
@@ -55,21 +60,37 @@ def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def lstsq_min_norm(a: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
-    """Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
+def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, float]:
+    """Minimum-norm least-squares solution of ``a @ x ~= b`` from ``ab = [a | b]``.
 
-    ``b`` is a vector; real and complex data of any shape work. ``[a | b]``
-    is QR-factored and only the leading n x n block T of its triangle goes
-    through the SVD (Chan's R-SVD; n = columns of ``a``). T has the singular
-    values of ``a``, so the rank cut and the solution are those of ``a``.
-    Returns ``(x, rank)``. At rank 0 the empty products give the zero
-    solution.
+    ``b`` is the last column; real and complex data of any shape work.
+    ``ab`` is QR-factored, and the leading n x n block T of its triangle
+    (n = columns of ``a``) has the singular values of ``a``, so the rank cut
+    and the solution are those of ``a`` (Chan's R-SVD). Returns ``(x, rank,
+    sigma_ratio)``: ``sigma_ratio`` is the smallest of the n singular values
+    of ``a`` over the largest, so it says how well the data determine x; it
+    is 0 when ``a`` is zero, has no columns, or has fewer rows than columns.
+
+    A square T (at least n rows) of full numeric rank has one solution,
+    found by substitution on T; its singular values are computed without
+    vectors. Otherwise the truncated SVD of T gives the minimum-norm
+    solution, and at rank 0 its empty products give the zero solution.
+    Since sigma_min <= min |t_ii| and sigma_max >= max |t_ii| for a
+    triangle, a diagonal that fails the cut goes to the SVD directly.
     """
-    a = np.asarray(a)
-    n = a.shape[1]
-    r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    check_rank_tol(rel_tol)
+    ab = np.asarray(ab)
+    n = ab.shape[1] - 1
+    r = np.linalg.qr(ab, mode="r")
     t, c = r[:n, :n], r[:n, n]
+    if t.shape[0] == n > 0:
+        diag = np.abs(np.diagonal(t))
+        if diag.min() > rel_tol * diag.max():
+            s = np.linalg.svd(t, compute_uv=False)
+            rank = numeric_rank(s, rel_tol)
+            if rank == n:
+                return np.linalg.solve(t, c), rank, float(s[-1] / s[0])
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
     x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
-    return x, rank
+    return x, rank, float(s[-1] / s[0]) if s.size == n > 0 and s[0] else 0.0

@@ -22,13 +22,19 @@ class CompanionModel:
 
     ``residual`` is the 2-norm of the training residual in the original data
     units; ``scale`` records the max-abs normalization applied before the
-    regression (the weights themselves are scale-invariant).
+    regression (the weights themselves are scale-invariant). ``rank`` and
+    ``sigma_ratio`` are the numeric rank of the fit's row-scaled design and
+    its smallest over its largest singular value, which say how well the
+    data determine the weights; both are None for weights that were not
+    fitted.
     """
 
     s: int
     weights: np.ndarray
     residual: float
     scale: float = 1.0
+    rank: int | None = None
+    sigma_ratio: float | None = None
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
@@ -52,6 +58,8 @@ class CompanionModel:
             "w": [float(w) for w in self.weights],
             "residual": float(self.residual),
             "scale": float(self.scale),
+            "rank": self.rank,
+            "sigma_ratio": self.sigma_ratio,
         }
 
 
@@ -93,13 +101,13 @@ def fit_companion(
     if u.shape[0] < 2 * s:
         raise ValueError(f"need at least 2s = {2 * s} observations, got {u.shape[0]}")
     scale = float(np.max(np.abs(u))) or 1.0  # an all-zero series fits zero weights
-    windows = delay_windows(u / scale, s + 1)
-    design, target = np.asfortranarray(windows[:, :s]), windows[:, s]
-    rows = np.maximum(np.max(np.abs(design), axis=1), np.abs(target))
+    windows = np.asfortranarray(delay_windows(u / scale, s + 1))  # [design | target]
+    rows = np.max(np.abs(windows), axis=1)
     rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
-    weights, _ = lstsq_min_norm(design / rows[:, None], target / rows, svd_tol)
-    residual = float(np.linalg.norm(design @ weights - target)) * scale
-    return CompanionModel(s=s, weights=weights, residual=residual, scale=scale)
+    weights, rank, sigma_ratio = lstsq_min_norm(windows / rows[:, None], svd_tol)
+    residual = float(np.linalg.norm(windows[:, :s] @ weights - windows[:, s])) * scale
+    return CompanionModel(s=s, weights=weights, residual=residual, scale=scale,
+                          rank=rank, sigma_ratio=sigma_ratio)
 
 
 def exact_companion(sys: LinearSystem) -> CompanionModel:

@@ -201,7 +201,7 @@ def recover_hidden_state(
         for l in range(r - 1):
             acc -= feedthrough[l] * window[r - 2 - l]
         b[r - 1] = acc
-    return lstsq_min_norm(report.r_matrix, b, rel_tol)[0]
+    return lstsq_min_norm(np.column_stack([report.r_matrix, b]), rel_tol)[0]
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:

@@ -160,7 +160,10 @@ def local_eigenvector_components(
     r, p = real.size, upper.size
     powers = np.vander(eigs[np.r_[real, upper]], N=u.shape[0], increasing=True)
     pairs = np.sqrt(2.0) * powers[r:]
-    y, _ = lstsq_min_norm(np.vstack([powers[:r].real, pairs.real, pairs.imag]).T, u, svd_tol)
+    ab = np.empty((u.shape[0], eigs.size + 1), order="F")  # [real basis | u]
+    ab[:, :r], ab[:, r : r + p], ab[:, r + p : -1] = powers[:r].real.T, pairs.real.T, pairs.imag.T
+    ab[:, -1] = u
+    y, _, _ = lstsq_min_norm(ab, svd_tol)
     coeffs = np.empty(eigs.size, dtype=complex)
     coeffs[real] = y[:r]
     coeffs[upper] = (y[r : r + p] - 1j * y[r + p :]) * np.sqrt(0.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from localspec import LinearSystem, is_localizable, simulate
+from localspec._linalg import numeric_rank
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -56,3 +57,26 @@ def growth_normalized_error(pred: np.ndarray, true: np.ndarray) -> float:
     """Max |pred - true| relative to the running max of |true|."""
     run_max = np.maximum.accumulate(np.abs(true))
     return float(np.max(np.abs(pred - true) / np.maximum(run_max, 1e-300)))
+
+
+def lstsq_min_norm_oracle(a, b, rel_tol):
+    """Reference for ``_linalg.lstsq_min_norm``, which solves full-rank square
+    triangles by substitution: here every solve takes the truncated SVD.
+
+    Minimum-norm least-squares solution of ``a @ x ~= b`` via truncated SVD.
+
+    ``b`` is a vector; real and complex data of any shape work. ``[a | b]``
+    is QR-factored and only the leading n x n block T of its triangle goes
+    through the SVD (Chan's R-SVD; n = columns of ``a``). T has the singular
+    values of ``a``, so the rank cut and the solution are those of ``a``.
+    Returns ``(x, rank)``. At rank 0 the empty products give the zero
+    solution.
+    """
+    a = np.asarray(a)
+    n = a.shape[1]
+    r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    t, c = r[:n, :n], r[:n, n]
+    u, s, vh = np.linalg.svd(t, full_matrices=False)
+    rank = numeric_rank(s, rel_tol)
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
+    return x, rank

@@ -46,3 +46,16 @@ def test_install_wraps_and_remove_restores(tracing):
     assert all(r is o for r, o in zip(_bound(tracing), originals))
     assert tracer.totals["localizability.vertices_tested"] == 6
     assert tracer.totals["localizability.localizable_everywhere_s"] > 0
+
+
+def test_one_vertex_analysis_feeds_the_solver_metrics(tracing):
+    u = localspec.simulate(bipartite_fixture(), [1.0, 0.5, -0.3, 0.2, 0.8, -1.1], 60).local(1)
+    tracer = tracing.Tracer(localspec)
+    tracer.install()
+    try:
+        localspec.spectral.analyze_vertex(u, 6)
+    finally:
+        tracer.remove()
+    assert tracer.totals["embedding.fit_companion_calls"] == 1
+    assert tracer.totals["embedding.lstsq_s"] > 0
+    assert tracer.totals["spectral.vandermonde_lstsq_s"] > 0

@@ -17,6 +17,7 @@ from localspec import (
     recover_hidden_state,
     simulate_local,
 )
+from localspec._linalg import DEFAULT_RANK_TOL, singular_values
 from localspec.io import example1_system
 
 
@@ -76,6 +77,21 @@ class TestFitCompanion:
         model = fit_companion(np.zeros(10), s=3)
         assert np.array_equal(model.weights, np.zeros(3))
         assert model.residual == 0.0
+        assert (model.rank, model.sigma_ratio) == (0, 0.0)
+
+    def test_rank_and_sigma_ratio_of_the_row_scaled_design(self):
+        sys = random_localizable_system(2, n=5)
+        u = simulate_local(sys, np.random.default_rng(2).standard_normal(5), 40, 1)
+        windows = delay_windows(np.asarray(u) / np.max(np.abs(u)), 6)
+        sigma = singular_values(windows[:, :5] / np.max(np.abs(windows), axis=1)[:, None])
+        fitted = fit_companion(u, 5)
+        assert fitted.rank == 5
+        assert fitted.sigma_ratio == pytest.approx(sigma[-1] / sigma[0], rel=1e-8)
+        over = fit_companion(u, 8)  # more delays than the system has modes
+        assert over.rank == 5 and over.sigma_ratio <= DEFAULT_RANK_TOL
+        assert over.to_json_dict()["rank"] == 5
+        exact = exact_companion(sys).to_json_dict()
+        assert exact["rank"] is None and exact["sigma_ratio"] is None
 
     def test_scale_recorded_and_weights_invariant(self):
         u = simulate_local(random_localizable_system(3, n=4), [1.0, -2.0, 0.5, 0.3], 16, 1)
