@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = add_command("localizability", help="rank-of-R localizability reports")
+    p = add_command("localizability", help="observability-staircase localizability reports")
     p.add_argument("system")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--vertex", type=int)

@@ -2,9 +2,17 @@
 
 A system x(k+1) = A x(k), observed only in vertex v, is localizable in v
 when the (n-1) x (n-1) matrix R stacking the rows a12^T A22^l (l = 0..n-2,
-in the coordinates that put v first) has full rank. Localizability is what
-licenses every downstream local estimate: companion models, spectra, and
-hidden-state reconstruction, which solves R v(k) = b(k) here.
+in the coordinates that put v first) has full rank: when the pair
+(A22, a12^T) is observable. Localizability is what licenses every
+downstream local estimate: companion models, spectra, and hidden-state
+reconstruction, which solves R v(k) = b(k) here.
+
+The test itself never forms R, whose monomial rows lose rank in floating
+point well before n = 48. It runs the observability staircase instead
+(Arnoldi on A22^T from a12 with reorthogonalization; Paige 1981, Van Dooren
+1981): the rank of R is the number of steps before the first one whose
+norm falls to the cut, and the smallest step ratio up to it is the
+report's margin.
 """
 
 from __future__ import annotations
@@ -29,29 +37,40 @@ class NotLocalizableError(ValueError):
 
 @dataclass(frozen=True)
 class LocalizabilityReport:
-    """Rank diagnosis of the observability-style matrix R for one vertex."""
+    """Observability-staircase diagnosis of (A22, a12^T) for one vertex.
+
+    ``margin`` is the smallest step ratio up to and including the first one
+    at or below the cut, so ``localizable`` iff ``margin > tolerance_used``;
+    it is None for a 1-dimensional system, which takes no step.
+    """
 
     vertex: int
-    r_matrix: np.ndarray
-    singular_values: np.ndarray
     numeric_rank: int
     localizable: bool
+    margin: float | None
     tolerance_used: float
 
     def to_json_dict(self) -> dict:
         return {
             "vertex": self.vertex,
-            "singular_values": [float(s) for s in self.singular_values],
+            "margin": self.margin,
             "numeric_rank": self.numeric_rank,
             "localizable": self.localizable,
             "tolerance": self.tolerance_used,
         }
 
 
-# Doubles of R that localizable_everywhere builds and decomposes at once. At
-# 1 MB the stacked A22 of a block stays in a 2 MB L2 cache next to the rows
-# being written; every system with n <= 50 is one block.
+# Doubles of Arnoldi basis that localizable_everywhere holds at once, about
+# k n^2 for a block of k vertices. Of 2^15, 2^17 and 2^19 it is the fastest
+# at n = 120 and n = 240; every system with n <= 50 is one block.
 BLOCK_DOUBLES = 2**17
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
+def _check_vertices(vertices: np.ndarray, n: int) -> None:
+    outside = (vertices < 1) | (vertices > n)
+    if outside.any():
+        raise ValueError(f"vertex {vertices[outside][0]} out of range 1..{n}")
 
 
 def _split_blocks(a: np.ndarray, vertices: Sequence[int]):
@@ -63,9 +82,7 @@ def _split_blocks(a: np.ndarray, vertices: Sequence[int]):
     """
     n = a.shape[0]
     vertices = np.asarray(vertices).reshape(-1)
-    outside = (vertices < 1) | (vertices > n)
-    if outside.any():
-        raise ValueError(f"vertex {vertices[outside][0]} out of range 1..{n}")
+    _check_vertices(vertices, n)
     others = np.arange(n - 1)
     order = np.column_stack([vertices - 1, others + (others >= vertices[:, None] - 1)])
     p = a[order[:, :, None], order[:, None, :]]
@@ -95,32 +112,79 @@ def r_matrix(sys: LinearSystem, vertex: int | Sequence[int]) -> np.ndarray:
     return rows if np.ndim(vertex) else rows[0]
 
 
+def _step_ratios(a: np.ndarray, vertices: Sequence[int]) -> np.ndarray:
+    """Observability staircase of (A22, a12^T) for each of ``vertices``.
+
+    Arnoldi on A22^T from a12 spans the row space of R with an orthonormal
+    basis, so, unlike the monomial rows of R, no step loses rank to
+    rounding. Each vertex works in full n-coordinates with its own entry
+    held at zero: a12 is row v of A, and q A22 is q A with entry v zeroed,
+    so one step for all k vertices is one k x n by n x n product. Two
+    classical Gram-Schmidt passes keep each basis orthonormal. Returns the
+    k x (n-1) step norms (step 0 is ||a12||) over max(||A22||_F, ||a12||),
+    or 0 where that is 0. ``a`` is first scaled by a power of 2 to a
+    largest entry below 1, which is exact and keeps every square finite.
+    """
+    n = a.shape[0]
+    vertices = np.asarray(vertices).reshape(-1)
+    _check_vertices(vertices, n)
+    k, cols = vertices.size, vertices - 1
+    own = (np.arange(k), cols)  # each vertex's own entry
+    top = np.max(np.abs(a))
+    b = np.ldexp(a, -np.frexp(top)[1]) if top > 0 else a
+    keep = np.arange(n) != cols[:, None]
+    # squares summed with row and column v left out: no subtraction cancels
+    sq = b * b
+    a22_sq = ((keep @ sq) * keep).sum(axis=1)
+    a12_sq = (sq[cols] * keep).sum(axis=1)
+    scale = np.sqrt(np.maximum(a22_sq, a12_sq))
+
+    basis = np.zeros((k, n - 1, n))
+    steps = np.empty((k, n - 1))
+    w = b[cols] * keep
+    for l in range(n - 1):
+        if l:
+            w = basis[:, l - 1] @ b
+            w[own] = 0.0
+            done = basis[:, :l]
+            done_t = done.transpose(0, 2, 1)
+            for _ in range(2):
+                w -= (w[:, None] @ done_t @ done)[:, 0]
+        h = steps[:, l] = np.sqrt((w * w).sum(axis=1))
+        # below sqrt(tiny) the squares in h underflow, so every entry of w is
+        # below the floor too: the row stays shorter than sqrt(n) and no later
+        # product overflows; a zero step leaves it zero
+        np.divide(w, np.maximum(h, _SQRT_TINY)[:, None], out=basis[:, l])
+    return np.divide(steps, scale[:, None], out=np.zeros_like(steps), where=scale[:, None] > 0)
+
+
 def is_localizable(
     sys: LinearSystem,
     vertex: int,
     rel_tol: float = DEFAULT_RANK_TOL,
     *,
-    stacked: tuple[np.ndarray, np.ndarray] | None = None,
+    stacked: np.ndarray | None = None,
 ) -> LocalizabilityReport:
-    """Numeric-rank test of R; localizable iff rank(R) = n - 1.
+    """Observability-staircase test; localizable iff rank(R) = n - 1.
 
-    A 1-dimensional system has an empty R and is localizable vacuously.
-    ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
-    genuine modelling choice for near-deficient R, hence always exposed.
-    ``stacked`` is this vertex's ``(R, singular values)`` when a caller has
-    already computed them for a block of vertices.
+    The numeric rank is the number of leading step ratios of
+    :func:`_step_ratios` above ``rel_tol``; the first step at or below it
+    ends the Krylov space. A 1-dimensional system takes no step and is
+    localizable vacuously. ``rel_tol`` is a genuine modelling choice for
+    near-deficient systems, hence always exposed. ``stacked`` is this
+    vertex's step ratios when a caller has already computed them for a
+    block of vertices.
     """
+    check_rank_tol(rel_tol)
     if stacked is None:
-        r = r_matrix(sys, vertex)
-        stacked = r, singular_values(r)
-    r, sigma = stacked
-    rank = numeric_rank(sigma, rel_tol)
+        stacked = _step_ratios(sys.a, [vertex])[0]
+    ratios = stacked.tolist()
+    rank = next((l for l, ratio in enumerate(ratios) if ratio <= rel_tol), len(ratios))
     return LocalizabilityReport(
         vertex=vertex,
-        r_matrix=r,
-        singular_values=sigma,
         numeric_rank=rank,
         localizable=rank == sys.n - 1,
+        margin=min(ratios[: rank + 1]) if ratios else None,
         tolerance_used=rel_tol,
     )
 
@@ -130,8 +194,8 @@ def localizable_everywhere(
 ) -> tuple[bool, list[LocalizabilityReport]]:
     """Conjunction of :func:`is_localizable` over all vertices, reports retained.
 
-    The vertices go in blocks of about :data:`BLOCK_DOUBLES` doubles of R:
-    one :func:`r_matrix` stack and one batched SVD per block, then one
+    The vertices go in blocks of about :data:`BLOCK_DOUBLES` doubles of
+    Arnoldi basis: one :func:`_step_ratios` staircase per block, then one
     :func:`is_localizable` report per vertex.
     """
     check_rank_tol(rel_tol)
@@ -139,10 +203,9 @@ def localizable_everywhere(
     reports = []
     for first in range(1, sys.n + 1, size):
         block = range(first, min(first + size, sys.n + 1))
-        r = r_matrix(sys, block)
-        sigma = singular_values(r)
-        reports += [is_localizable(sys, v, rel_tol, stacked=(r_v, sigma_v))
-                    for v, r_v, sigma_v in zip(block, r, sigma)]
+        ratios = _step_ratios(sys.a, block)
+        reports += [is_localizable(sys, v, rel_tol, stacked=ratios_v)
+                    for v, ratios_v in zip(block, ratios)]
     return all(rep.localizable for rep in reports), reports
 
 
@@ -178,22 +241,24 @@ def recover_hidden_state(
     b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
     The returned components keep the original vertex order with ``vertex``
     removed, so a 1-dimensional system has the empty hidden state. Raises
-    :class:`NotLocalizableError` when :func:`is_localizable` finds R
+    :class:`NotLocalizableError`, carrying R's singular values, when R is
     numerically singular at ``rel_tol``.
     """
     n = sys.n
     window = np.asarray(window, dtype=float).reshape(-1)
     if window.shape[0] != n:
         raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
-    report = is_localizable(sys, vertex, rel_tol)
-    if not report.localizable:
+    rows = r_matrix(sys, vertex)
+    sigma = singular_values(rows)
+    rank = numeric_rank(sigma, rel_tol)
+    if rank < n - 1:
         raise NotLocalizableError(
             f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
-            f"(numeric rank {report.numeric_rank} of {n - 1})",
-            singular_values=report.singular_values,
+            f"(numeric rank {rank} of {n - 1})",
+            singular_values=sigma,
         )
     a11, _, a21, _ = (block[0] for block in _split_blocks(sys.a, [vertex]))
-    feedthrough = report.r_matrix @ a21  # entry l is a12^T A22^l a21
+    feedthrough = rows @ a21  # entry l is a12^T A22^l a21
 
     b = np.empty(n - 1)
     for r in range(1, n):
@@ -201,7 +266,7 @@ def recover_hidden_state(
         for l in range(r - 1):
             acc -= feedthrough[l] * window[r - 2 - l]
         b[r - 1] = acc
-    return lstsq_min_norm(np.column_stack([report.r_matrix, b]), rel_tol)[0]
+    return lstsq_min_norm(np.column_stack([rows, b]), rel_tol)[0]
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:

@@ -469,20 +469,21 @@ class TestLocalizability:
                        "type": "ValueError"}
         assert not out.exists()
 
-    def test_overflowing_r_fails_without_writing(self, tmp_path, capfd):
+    def test_system_whose_r_overflows_is_answered(self, tmp_path, capfd):
+        # the rows a12^T A22^l of R overflow by l = 1; the staircase scales A
+        # first, and a12 = 1e200 (1, ..., 1) spans A22's Krylov space alone
         sys_file = tmp_path / "big.json"
         a = np.full((5, 5), 1e200)
         np.fill_diagonal(a, 0.5)
         sys_file.write_text(json.dumps({"n": 5, "A": a.tolist()}))
         out = tmp_path / "rep.json"
-        assert run("localizability", sys_file, "--vertex", "1", "--out", out, "--quiet") == 1
+        assert run("localizability", sys_file, "--vertex", "1", "--out", out, "--quiet") == 0
         captured = capfd.readouterr()  # file descriptors, so LAPACK's own messages count
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        err = json.loads(line)
-        assert err["type"] == "ValueError"
-        assert "R of vertex 1 overflows" in err["error"]
-        assert not out.exists()
+        assert captured.out == captured.err == ""
+        [report] = json.loads(out.read_text())["reports"]
+        assert list(report) == ["vertex", "margin", "numeric_rank", "localizable", "tolerance"]
+        assert (report["numeric_rank"], report["localizable"]) == (1, False)
+        assert report["margin"] < 1e-15
 
 
 class TestAnalyze:

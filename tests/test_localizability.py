@@ -1,11 +1,12 @@
-"""Rank-of-R and Hautus localizability tests."""
+"""Observability-staircase, rank-of-R and Hautus localizability tests."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -19,10 +20,11 @@ from localspec import (
     localizability,
     localizable_everywhere,
     r_matrix,
+    recover_hidden_state,
 )
 from localspec._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
 from localspec.io import example1_system
-from localspec.localizability import BLOCK_DOUBLES, LocalizabilityReport
+from localspec.localizability import BLOCK_DOUBLES, _step_ratios
 
 
 class TestRMatrix:
@@ -43,9 +45,8 @@ class TestRMatrix:
 
     def test_one_state_gives_the_empty_r(self):
         sys = LinearSystem([[1.0]])
-        r = r_matrix(sys, 1)
-        assert r.shape == (0, 0)
-        assert np.array_equal(r, is_localizable(sys, 1).r_matrix)
+        assert r_matrix(sys, 1).shape == (0, 0)
+        assert is_localizable(sys, 1).numeric_rank == 0
 
     @pytest.mark.parametrize("vertex", [0, 4])
     def test_vertex_out_of_range(self, vertex):
@@ -56,9 +57,16 @@ class TestRMatrix:
         # a12 A22 already exceeds the float range; no NaN reaches the SVD
         a = np.full((5, 5), 1e200)
         np.fill_diagonal(a, 0.5)
-        for call in (r_matrix, is_localizable):
-            with pytest.raises(ValueError, match="R of vertex 2 overflows"):
-                call(LinearSystem(a), 2)
+        with pytest.raises(ValueError, match="R of vertex 2 overflows"):
+            r_matrix(LinearSystem(a), 2)
+        with pytest.raises(ValueError, match="R of vertex 2 overflows"):
+            recover_hidden_state(LinearSystem(a), 2, np.ones(5))
+        # the staircase works on A scaled to a largest entry below 1: a12 is
+        # an eigenvector of A22 = 1e200 (J - I), so it spans the Krylov space
+        report = is_localizable(LinearSystem(a), 2)
+        assert (report.numeric_rank, report.localizable) == (1, False)
+        assert report.margin < 1e-15
+        assert not hautus_localizable(LinearSystem(a), 2)
 
 
 class TestIsLocalizable:
@@ -84,21 +92,22 @@ class TestIsLocalizable:
     def test_one_dimensional_system_is_localizable(self):
         report = is_localizable(LinearSystem([[0.7]]), 1)
         assert report.localizable
-        assert report.r_matrix.shape == (0, 0)
+        assert report.margin is None
         assert report.numeric_rank == 0
 
     def test_report_invariants(self):
         for seed in range(20):
             sys = random_system(seed, sparse=True)
             rep = is_localizable(sys, 1)
-            sigma = rep.singular_values
-            assert np.all(np.diff(sigma) <= 1e-12)
-            if sigma.size and sigma[0] > 0:
-                expected = int(np.sum(sigma > rep.tolerance_used * sigma[0]))
-            else:
-                expected = 0
+            ratios = _step_ratios(sys.a, [1])[0]
+            assert ratios.shape == (sys.n - 1,)
+            assert np.all((ratios >= 0.0) & (ratios <= 1.0 + 1e-12))
+            below = np.flatnonzero(ratios <= rep.tolerance_used)
+            expected = int(below[0]) if below.size else sys.n - 1
             assert rep.numeric_rank == expected
+            assert rep.margin == ratios[: expected + 1].min()
             assert rep.localizable == (rep.numeric_rank == sys.n - 1)
+            assert rep.localizable == (rep.margin > rep.tolerance_used)
 
 
 class TestLocalizableEverywhere:
@@ -239,90 +248,77 @@ class TestProperties:
 
 # --- the stacked pass against the per-vertex oracle -----------------------------
 #
-# The three functions below are the one-vertex-at-a-time implementation that
-# localizable_everywhere replaced, kept verbatim under oracle names. The
-# stacked pass must reproduce them bit for bit.
+# A one-vertex Arnoldi written with loops over explicit a12 and A22, apart from
+# the stacked full-coordinate staircase. Flags and ranks must agree exactly.
+# Margins are ratios to max(||A22||_F, ||a12||), so they must agree to 1e-12
+# of that scale: the margin of an exact breakdown sits at the rounding floor
+# and has no relative digits to compare.
+
+MARGIN_ATOL = 1e-12
 
 
 def _split_blocks_oracle(a: np.ndarray, vertex: int):
-    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with ``vertex`` first.
-
-    The similarity P^T A P keeps the other vertices in their order, so hidden
-    components keep their original ordering; the spectrum is unchanged.
-    """
+    """Blocks a11, a12, a21, A22 of the update matrix ``a`` with ``vertex`` first."""
     n = a.shape[0]
-    if not 1 <= vertex <= n:
-        raise ValueError(f"vertex {vertex} out of range 1..{n}")
     order = [vertex - 1, *range(vertex - 1), *range(vertex, n)]
     p = a[np.ix_(order, order)]
     return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
 
 
-def r_matrix_oracle(sys: LinearSystem, vertex: int) -> np.ndarray:
-    """Stacked rows a12^T A22^l for l = 0..n-2, built by iterated row products.
-
-    Row-vector times matrix per step keeps the cost at O(n^3) total and
-    avoids forming explicit powers of A22. A 1-dimensional system has the
-    empty 0 x 0 R. Raises ValueError when a row overflows.
-    """
-    _, a12, _, a22 = _split_blocks_oracle(sys.a, vertex)
-    rows = np.empty((sys.n - 1, sys.n - 1))
-    rows[:1] = a12
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for l in range(1, sys.n - 1):
-            rows[l] = rows[l - 1] @ a22
-    if not np.isfinite(rows).all():
-        raise ValueError(f"R of vertex {vertex} overflows: its rows exceed the float range")
-    return rows
-
-
-def is_localizable_oracle(
-    sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_RANK_TOL
-) -> LocalizabilityReport:
-    """Numeric-rank test of R; localizable iff rank(R) = n - 1.
-
-    A 1-dimensional system has an empty R and is localizable vacuously.
-    ``rel_tol`` is the singular-value cutoff relative to sigma_max; it is a
-    genuine modelling choice for near-deficient R, hence always exposed.
-    """
-    r = r_matrix_oracle(sys, vertex)
-    sigma = singular_values(r)
-    rank = numeric_rank(sigma, rel_tol)
-    return LocalizabilityReport(
-        vertex=vertex,
-        r_matrix=r,
-        singular_values=sigma,
-        numeric_rank=rank,
-        localizable=rank == sys.n - 1,
-        tolerance_used=rel_tol,
-    )
+def step_ratios_oracle(a: np.ndarray, vertex: int) -> np.ndarray:
+    """Arnoldi on A22^T from a12, one basis vector at a time, with two
+    classical Gram-Schmidt passes; the step norms over max(||A22||_F, ||a12||)."""
+    top = np.max(np.abs(a))
+    _, a12, _, a22 = _split_blocks_oracle(a / top if top > 0 else a, vertex)
+    scale = max(np.linalg.norm(a22), np.linalg.norm(a12))
+    basis, ratios = [], []
+    w = a12
+    for l in range(a.shape[0] - 1):
+        if l:
+            w = basis[-1] @ a22
+            for _ in range(2):
+                coeffs = [q @ w for q in basis]
+                for c, q in zip(coeffs, basis):
+                    w = w - c * q
+        h = np.linalg.norm(w)
+        ratios.append(h / scale if scale > 0 else 0.0)
+        basis.append(w / h if h > 0 else w)
+    return np.array(ratios)
 
 
-def _everywhere_outcome(everywhere, sys, rel_tol):
-    """The flag and every report field as bytes, or the error message."""
-    try:
-        flag, reports = everywhere(sys, rel_tol)
-    except ValueError as exc:
-        return str(exc)
-    return flag, [(r.vertex, r.r_matrix.shape, r.r_matrix.tobytes(), r.singular_values.shape,
-                   r.singular_values.tobytes(), r.numeric_rank, r.localizable, r.tolerance_used)
-                  for r in reports]
+def is_localizable_oracle(sys: LinearSystem, vertex: int, rel_tol: float):
+    """(localizable, numeric rank, margin) from the oracle's step ratios."""
+    ratios = step_ratios_oracle(sys.a, vertex)
+    below = np.flatnonzero(ratios <= rel_tol)
+    rank = int(below[0]) if below.size else sys.n - 1
+    margin = float(ratios[: rank + 1].min()) if ratios.size else None
+    return rank == sys.n - 1, rank, margin
 
 
-def _oracle_everywhere(sys, rel_tol):
-    reports = [is_localizable_oracle(sys, v, rel_tol) for v in range(1, sys.n + 1)]
-    return all(r.localizable for r in reports), reports
+def _assert_same_report(report, localizable, rank, margin):
+    assert (report.localizable, report.numeric_rank) == (localizable, rank)
+    if margin is None:
+        assert report.margin is None
+    else:
+        assert abs(report.margin - margin) <= MARGIN_ATOL
 
 
 def _assert_matches_the_oracle(sys, rel_tol=DEFAULT_RANK_TOL):
-    expected = _everywhere_outcome(_oracle_everywhere, sys, rel_tol)
-    assert _everywhere_outcome(localizable_everywhere, sys, rel_tol) == expected
+    everywhere, reports = localizable_everywhere(sys, rel_tol)
+    assert [r.vertex for r in reports] == list(range(1, sys.n + 1))
+    assert all(r.tolerance_used == rel_tol for r in reports)
+    expected = [is_localizable_oracle(sys, v, rel_tol) for v in range(1, sys.n + 1)]
+    assert everywhere == all(flag for flag, _, _ in expected)
+    for report, oracle in zip(reports, expected):
+        _assert_same_report(report, *oracle)
+        single = is_localizable(sys, report.vertex, rel_tol)
+        _assert_same_report(single, report.localizable, report.numeric_rank, report.margin)
 
 
 @st.composite
 def oracle_systems(draw):
     """Dense and sparse gaussian systems, systems with zeroed rows, and
-    systems scaled far enough up that some vertices' R overflows."""
+    systems scaled far enough up that the rows of R overflow."""
     n = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(["dense", "sparse", "zero-rows", "huge"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -359,7 +355,22 @@ class TestStackedPassMatchesThePerVertexOracle:
         a[first - 1:, first - 1:] = 1e100
         sys = LinearSystem(a)
         with pytest.raises(ValueError, match=f"R of vertex {first} overflows"):
-            localizable_everywhere(sys)
+            r_matrix(sys, range(1, n + 1))
+        with pytest.raises(ValueError, match=f"R of vertex {first} overflows"):
+            recover_hidden_state(sys, first, np.ones(n))
+
+    def test_localizable_everywhere_answers_where_r_overflows(self):
+        # same system: the staircase scales A first, and no vertex sees both
+        # blocks, so every vertex is reported not localizable
+        n, first = 70, 61
+        a = np.zeros((n, n))
+        a[:first - 1, :first - 1] = random_system(4, n=first - 1).a
+        a[first - 1:, first - 1:] = 1e100
+        sys = LinearSystem(a)
+        everywhere, reports = localizable_everywhere(sys)
+        assert not everywhere
+        assert not any(r.localizable for r in reports)
+        assert all(np.isfinite(r.margin) for r in reports)
         _assert_matches_the_oracle(sys)
 
     def test_one_report_call_per_vertex(self, monkeypatch):
@@ -376,11 +387,11 @@ class TestStackedPassMatchesThePerVertexOracle:
         localizable_everywhere(random_system(5, n=n))
         assert calls == list(range(1, n + 1))
 
-    def test_peak_memory_above_the_kept_reports(self):
-        # the reports keep every R, n (n-1)^2 doubles; the blocks add little
+    def test_peak_memory_keeps_no_r(self):
+        # the reports keep no R; one block of Arnoldi bases is about
+        # BLOCK_DOUBLES doubles (1 MB)
         n = 100
         sys = random_system(6, n=n)
-        kept = n * (n - 1) ** 2 * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -389,7 +400,109 @@ class TestStackedPassMatchesThePerVertexOracle:
         finally:
             tracemalloc.stop()
         assert len(reports) == n
-        assert peak - kept < 4 * 2**20
+        assert peak < 4 * 2**20
+
+
+# --- the staircase against Hautus ----------------------------------------------
+
+
+def hautus_margin(sys: LinearSystem, vertex: int) -> float:
+    """Smallest sigma_min / sigma_max of [lam I - A22; a12^T] over the
+    eigenvalues lam of A22; inf for a 1-dimensional system."""
+    _, a12, _, a22 = _split_blocks_oracle(sys.a, vertex)
+    margin = np.inf
+    for lam in np.linalg.eigvals(a22):
+        sigma = singular_values(np.vstack([lam * np.eye(sys.n - 1) - a22, a12[None, :]]))
+        margin = min(margin, sigma[-1] / sigma[0] if sigma[0] > 0 else 0.0)
+    return float(margin)
+
+
+def dense48(seed: int) -> LinearSystem:
+    return LinearSystem(np.random.default_rng([48, seed]).standard_normal((48, 48)) / np.sqrt(48))
+
+
+class TestStaircaseEdgeCases:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_48_systems_localizable_at_every_vertex(self, seed):
+        # the monomial rows of R lose rank here at 48 and 47 of 48 vertices
+        sys = dense48(seed)
+        everywhere, reports = localizable_everywhere(sys)
+        assert everywhere
+        assert all(r.numeric_rank == 47 for r in reports)
+        assert all(hautus_localizable(sys, v) for v in range(1, 49))
+
+    @pytest.mark.parametrize("seed, n, vertex", [(4, 29, 22), (11, 32, 21), (26, 31, 19),
+                                                 (38, 29, 26)])
+    def test_vertices_where_the_rank_of_r_disagrees_with_hautus(self, seed, n, vertex):
+        rng = np.random.default_rng([1632, seed])
+        assert int(rng.integers(16, 33)) == n
+        sys = LinearSystem(rng.standard_normal((n, n)) / np.sqrt(n))
+        assert numeric_rank(singular_values(r_matrix(sys, vertex)), DEFAULT_RANK_TOL) < n - 1
+        assert hautus_margin(sys, vertex) > 1e-6
+        assert hautus_localizable(sys, vertex)
+        assert is_localizable(sys, vertex).localizable
+
+    def test_one_state_margin_is_null_in_the_payload(self):
+        _, [report] = localizable_everywhere(LinearSystem([[0.5]]))
+        assert report.margin is None
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert payload["margin"] is None
+
+    def test_zero_coupling_has_margin_zero(self):
+        a = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+        _, reports = localizable_everywhere(LinearSystem(a))
+        assert (reports[0].margin, reports[0].numeric_rank) == (0.0, 0)
+        assert not reports[0].localizable
+        assert is_localizable(LinearSystem(a), 1) == reports[0]
+
+    def test_zero_matrix_has_margin_zero_everywhere(self):
+        everywhere, reports = localizable_everywhere(LinearSystem(np.zeros((4, 4))))
+        assert not everywhere
+        assert [(r.margin, r.numeric_rank) for r in reports] == [(0.0, 0)] * 4
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_vertex_out_of_range(self, vertex):
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range 1..3"):
+            is_localizable(LinearSystem(np.eye(3)), vertex)
+
+    def test_entries_whose_squares_underflow_overflow_nothing(self):
+        # a12 and A22 of vertex 1 are 1e-200 beside a unit column: their
+        # squares underflow after scaling, and the steps must stay finite
+        a = np.ones((4, 4))
+        a[:, 1:] = 1e-200 * np.random.default_rng(3).standard_normal((4, 3))
+        ratios = _step_ratios(a, [1, 2, 3, 4])
+        assert np.all(np.isfinite(ratios)) and np.all(ratios <= 1.0 + 1e-12)
+        _, reports = localizable_everywhere(LinearSystem(a))
+        json.dumps([r.to_json_dict() for r in reports], allow_nan=False)
+
+
+@st.composite
+def hautus_systems(draw):
+    """Dense, sparse and zero-row gaussian systems with n <= 14."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero-rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    if kind == "sparse":
+        a *= rng.random((n, n)) < draw(st.floats(0.05, 0.6))
+    elif kind == "zero-rows":
+        a[rng.random(n) < 0.3] = 0.0
+    return LinearSystem(a)
+
+
+class TestStaircaseProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(sys=hautus_systems(), power=st.integers(-200, 200))
+    def test_flags_equal_hautus_and_ignore_the_scale_of_a(self, sys, power):
+        margins = [hautus_margin(sys, v) for v in range(1, sys.n + 1)]
+        assume(not any(1e-12 < m < 1e-6 for m in margins))
+        everywhere, reports = localizable_everywhere(sys)
+        flags = [r.localizable for r in reports]
+        assert flags == [hautus_localizable(sys, v) for v in range(1, sys.n + 1)]
+        assert everywhere == all(flags)
+        _, scaled = localizable_everywhere(LinearSystem(sys.a * 10.0**power))
+        for report, other in zip(reports, scaled):
+            _assert_same_report(other, report.localizable, report.numeric_rank, report.margin)
 
 
 class TestRMatrixOverVertices:

@@ -27,11 +27,13 @@ from localspec import (
     local_eigenvector_components,
     multiset_distance,
     normalized_laplacian,
+    r_matrix,
     simulate,
     simulate_local,
     sort_eigenvalues,
     trace_det,
 )
+from localspec._linalg import singular_values
 
 
 class TestLocalEigenvalues:
@@ -437,9 +439,7 @@ class TestAnalyzeVertex:
         wave = build_wave_system(normalized_laplacian(w), 1.0)
         best_v = max(
             range(1, wave.n + 1),
-            key=lambda v: (
-                lambda r: r.singular_values[-1] / r.singular_values[0]
-            )(is_localizable(wave, v)),
+            key=lambda v: (lambda s: s[-1] / s[0])(singular_values(r_matrix(wave, v))),
         )
         x0 = np.random.default_rng(6).standard_normal(wave.n)
         u = simulate_local(wave, x0, 500, best_v)
