@@ -32,13 +32,9 @@ DEFAULT_BIPARTITE_TOL = 1e-6
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values of ``matrix`` in nonincreasing order (empty for 0-size).
-
-    A stack of matrices gives one row of singular values per matrix, all in
-    one LAPACK call; a stack of 0 x 0 matrices gives empty rows.
-    """
+    """Singular values of ``matrix`` in nonincreasing order (empty for 0-size)."""
     if matrix.size == 0:
-        return np.zeros(matrix.shape[:-2] + (min(matrix.shape[-2:]),))
+        return np.zeros(min(matrix.shape))
     return np.linalg.svd(matrix, compute_uv=False)
 
 

@@ -333,11 +333,8 @@ def coupled_cell_fixture(seed: int) -> CoupledCellSystem:
             coupling=_COUPLED_S,
             epsilon=0.1,
         )
-        lifted = koopman_lift(sys)
-        if all(
-            localizability.is_localizable(lifted, 3 * i + 1).localizable
-            for i in range(sys.d)
-        ):
+        _, reports = localizability.localizable_everywhere(koopman_lift(sys))
+        if all(reports[3 * i].localizable for i in range(sys.d)):
             return sys
     raise GenerationError(
         f"no localizable parameter draw found in {MAX_DRAWS} draws (seed {seed})"

