@@ -12,11 +12,8 @@ point well before n = 48. It runs the observability staircase instead
 (Arnoldi on A22^T from a12 with reorthogonalization; Paige 1981, Van Dooren
 1981): the rank of R is the number of steps before the first one whose
 norm falls to the cut, and the smallest step ratio up to it is the
-report's margin. A step far below the others leaves every later step
-carrying double rounding noise of about eps over its size, so the vertices
-whose report reads such a step run again in double-double arithmetic. A
-one-vertex query runs its vertex's whole block of the all-vertex test, so
-both give that vertex the same report.
+report's margin. A one-vertex query runs its vertex's whole block of the
+all-vertex test, so both give that vertex the same report.
 """
 
 from __future__ import annotations
@@ -67,11 +64,6 @@ class LocalizabilityReport:
 # k n^2 for a block of k vertices. Of 2^15, 2^17 and 2^19 it is the fastest
 # at n = 120 and n = 240; every system with n <= 50 is one block.
 BLOCK_DOUBLES = 2**17
-# A step ratio below NEAR_BREAKDOWN before the smallest step a report reads,
-# or a product of the smallest and a later step read below _NOISE, sends the
-# vertex's staircase to double-double arithmetic; see _near_breakdown.
-NEAR_BREAKDOWN = 1e-3
-_NOISE = 1e4 * np.finfo(float).eps
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
@@ -80,12 +72,16 @@ def _check_vertex(vertex: int, n: int) -> None:
         raise ValueError(f"vertex {vertex} out of range 1..{n}")
 
 
+def _block_size(n: int) -> int:
+    return max(1, BLOCK_DOUBLES // n**2)
+
+
 def _vertex_block(n: int, vertex: int) -> range:
-    """The ``max(1, BLOCK_DOUBLES // n**2)`` consecutive vertices whose staircase
-    runs with ``vertex``'s; its rounding depends on the block, so every query
-    of ``vertex`` runs this one."""
+    """The :func:`_block_size` consecutive vertices whose staircase runs with
+    ``vertex``'s; its rounding depends on the block, so every query of
+    ``vertex`` runs this one."""
     _check_vertex(vertex, n)
-    size = max(1, BLOCK_DOUBLES // n**2)
+    size = _block_size(n)
     first = (vertex - 1) // size * size + 1
     return range(first, min(first + size, n + 1))
 
@@ -121,8 +117,8 @@ def r_matrix(sys: LinearSystem, vertex: int) -> np.ndarray:
     return rows
 
 
-def _staircase(b: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Observability staircase of (A22, a12^T) for the vertices ``cols + 1``.
+def _step_ratios(a: np.ndarray, vertices: range) -> np.ndarray:
+    """Observability staircase of (A22, a12^T) for each of ``vertices``.
 
     Arnoldi on A22^T from a12 spans the row space of R with an orthonormal
     basis, so, unlike the monomial rows of R, no step loses rank to
@@ -130,10 +126,22 @@ def _staircase(b: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
     held at zero: a12 is row v of A, and q A22 is q A with entry v zeroed,
     so one step for all k vertices is one k x n by n x n product. Two
     classical Gram-Schmidt passes keep each basis orthonormal. Returns the
-    k x (n-1) step norms; step 0 is ||a12||.
+    k x (n-1) step norms (step 0 is ||a12||) over max(||A22||_F, ||a12||),
+    or 0 where that is 0. ``a`` is first scaled by a power of 2 to a
+    largest entry below 1, which is exact and keeps every square finite.
     """
-    n, k = b.shape[0], len(cols)
+    n = a.shape[0]
+    k, cols = len(vertices), np.asarray(vertices) - 1
     own = (np.arange(k), cols)  # each vertex's own entry
+    top = np.max(np.abs(a))
+    b = np.ldexp(a, -np.frexp(top)[1]) if top > 0 else a
+    keep = np.arange(n) != cols[:, None]
+    # squares summed with row and column v left out: no subtraction cancels
+    sq = b * b
+    a22_sq = ((keep @ sq) * keep).sum(axis=1)
+    a12_sq = (sq[cols] * keep).sum(axis=1)
+    scale = np.sqrt(np.maximum(a22_sq, a12_sq))
+
     basis = np.zeros((k, n - 1, n))
     steps = np.empty((k, n - 1))
     w = b[cols] * keep
@@ -150,158 +158,7 @@ def _staircase(b: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
         # below the floor too: the row stays shorter than sqrt(n) and no later
         # product overflows; a zero step leaves it zero
         np.divide(w, np.maximum(h, _SQRT_TINY)[:, None], out=basis[:, l])
-    return steps
-
-
-# --- double-double arithmetic ---------------------------------------------------
-#
-# A number is a pair (hi, lo) of doubles with |lo| <= ulp(hi) / 2, good to
-# about 1e-32 relative (Dekker 1971); every function works elementwise on
-# arrays. Products are exact only while no factor underflows.
-
-_SPLIT = 2.0**27 + 1
-
-
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a, b):
-    p = a * b
-    a1 = _SPLIT * a
-    a1 = a1 - (a1 - a)
-    b1 = _SPLIT * b
-    b1 = b1 - (b1 - b)
-    a2, b2 = a - a1, b - b1
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e = e + (x[1] + y[1])
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e = e + (x[0] * y[1] + x[1] * y[0])
-    hi = p + e
-    return hi, e - (hi - p)
-
-
-def _dd_div(x, y):
-    q = x[0] / y[0]
-    p = _dd_mul((q, 0.0), y)
-    r = _dd_add(x, (-p[0], -p[1]))
-    q2 = r[0] / y[0]
-    hi = q + q2
-    return hi, q2 - (hi - q)
-
-
-def _dd_sqrt(x):
-    r = np.sqrt(x[0])
-    p, e = _two_prod(r, r)
-    fix = np.divide((x[0] - p - e) + x[1], 2.0 * r, out=np.zeros_like(r), where=r > 0)
-    hi = r + fix
-    return hi, fix - (hi - r)
-
-
-def _dd_sum(x):
-    """Pairwise sum of the numbers ``x`` along the last axis."""
-    hi, lo = x
-    while hi.shape[-1] > 1:
-        half = hi.shape[-1] // 2
-        s = _dd_add((hi[..., :half], lo[..., :half]), (hi[..., half:2 * half], lo[..., half:2 * half]))
-        if hi.shape[-1] % 2:
-            s = tuple(np.concatenate([part, rest[..., -1:]], axis=-1) for part, rest in zip(s, (hi, lo)))
-        hi, lo = s
-    return hi[..., 0], lo[..., 0]
-
-
-def _staircase_dd(b: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """:func:`_staircase` in double-double: the same steps, each product and
-    sum carried to about 1e-32, the basis kept as pairs of doubles."""
-    n, k = b.shape[0], len(cols)
-    own = (np.arange(k), cols)
-    basis = (np.zeros((k, n - 1, n)), np.zeros((k, n - 1, n)))
-    steps = np.empty((k, n - 1))
-    w = (b[cols] * keep, np.zeros((k, n)))
-    for l in range(n - 1):
-        if l:
-            q = (basis[0][:, l - 1, :, None], basis[1][:, l - 1, :, None])
-            w = _dd_sum(tuple(part.swapaxes(1, 2) for part in _dd_mul(q, (b, 0.0))))
-            for part in w:
-                part[own] = 0.0
-            done = (basis[0][:, :l], basis[1][:, :l])
-            for _ in range(2):
-                c = _dd_sum(_dd_mul((w[0][:, None], w[1][:, None]), done))
-                t = _dd_mul((c[0][..., None], c[1][..., None]), done)
-                t = _dd_sum(tuple(part.swapaxes(1, 2) for part in t))
-                w = _dd_add(w, (-t[0], -t[1]))
-        h = _dd_sqrt(_dd_sum(_dd_mul(w, w)))
-        steps[:, l] = h[0]
-        # the floor of _staircase; a zero step leaves the row zero
-        floor = h[0] < _SQRT_TINY
-        h = (np.where(floor, _SQRT_TINY, h[0])[:, None], np.where(floor, 0.0, h[1])[:, None])
-        q = _dd_div(w, h)
-        basis[0][:, l], basis[1][:, l] = q
-    return steps
-
-
-def _near_breakdown(ratios: np.ndarray, rel_tol: float) -> list[int]:
-    """Rows whose report at ``rel_tol`` reads a step that the rounding of a
-    double staircase may have swamped.
-
-    A step ratio h leaves the next basis vector's direction wrong by about
-    eps / h, so every later step carries noise of up to that size: after
-    h = 1e-7 an exact breakdown reads 3e-11 instead of 0. The report reads
-    the steps up to the first one at or below ``rel_tol``. A row is flagged
-    when a step below ``NEAR_BREAKDOWN`` comes before the smallest step
-    read, or when a step read after the smallest one is within a factor
-    1e4 of the noise eps / smallest that the smallest leaves behind. Plain
-    Python over the rows: a block holds a few thousand ratios at most.
-    """
-    flagged = []
-    for i, row in enumerate(ratios.tolist()):
-        read = row[: next((l for l, r in enumerate(row) if r <= rel_tol), len(row) - 1) + 1]
-        if not read:
-            continue
-        low = read.index(min(read))
-        if min(read[:low], default=1.0) < NEAR_BREAKDOWN or any(
-                r * read[low] < _NOISE for r in read[low + 1:]):
-            flagged.append(i)
-    return flagged
-
-
-def _step_ratios(a: np.ndarray, vertices: range, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """The staircase step norms of each of ``vertices`` over
-    max(||A22||_F, ||a12||), or 0 where that is 0: k x (n-1) ratios.
-
-    ``a`` is first scaled by a power of 2 to a largest entry below 1, which
-    is exact and keeps every square finite. The block runs in double
-    precision; the rows that :func:`_near_breakdown` flags at ``rel_tol``
-    run again, all in one double-double staircase.
-    """
-    cols = np.asarray(vertices) - 1
-    top = np.max(np.abs(a))
-    b = np.ldexp(a, -np.frexp(top)[1]) if top > 0 else a
-    keep = np.arange(a.shape[0]) != cols[:, None]
-    # squares summed with row and column v left out: no subtraction cancels
-    sq = b * b
-    a22_sq = ((keep @ sq) * keep).sum(axis=1)
-    a12_sq = (sq[cols] * keep).sum(axis=1)
-    scale = np.sqrt(np.maximum(a22_sq, a12_sq))[:, None]
-
-    steps = _staircase(b, cols, keep)
-    ratios = np.divide(steps, scale, out=np.zeros_like(steps), where=scale > 0)
-    again = _near_breakdown(ratios, rel_tol)
-    if again:
-        steps[again] = _staircase_dd(b, cols[again], keep[again])
-        np.divide(steps, scale, out=ratios, where=scale > 0)
-    return ratios
+    return np.divide(steps, scale[:, None], out=np.zeros_like(steps), where=scale[:, None] > 0)
 
 
 def is_localizable(
@@ -326,7 +183,7 @@ def is_localizable(
     check_rank_tol(rel_tol)
     if stacked is None:
         block = _vertex_block(sys.n, vertex)
-        stacked = _step_ratios(sys.a, block, rel_tol)[vertex - block.start]
+        stacked = _step_ratios(sys.a, block)[vertex - block.start]
     ratios = stacked.tolist()
     rank = next((l for l, ratio in enumerate(ratios) if ratio <= rel_tol), len(ratios))
     return LocalizabilityReport(
@@ -343,15 +200,16 @@ def localizable_everywhere(
 ) -> tuple[bool, list[LocalizabilityReport]]:
     """Conjunction of :func:`is_localizable` over all vertices, reports retained.
 
-    The vertices go in the blocks of :func:`_vertex_block`: one
-    :func:`_step_ratios` staircase per block, then one
-    :func:`is_localizable` report per vertex.
+    The vertices go in blocks of :func:`_block_size` vertices, the blocks of
+    :func:`_vertex_block`: one :func:`_step_ratios` staircase per block, then
+    one :func:`is_localizable` report per vertex.
     """
     check_rank_tol(rel_tol)
+    size = _block_size(sys.n)
     reports = []
-    while len(reports) < sys.n:
-        block = _vertex_block(sys.n, len(reports) + 1)
-        ratios = _step_ratios(sys.a, block, rel_tol)
+    for first in range(1, sys.n + 1, size):
+        block = range(first, min(first + size, sys.n + 1))
+        ratios = _step_ratios(sys.a, block)
         reports += [is_localizable(sys, v, rel_tol, stacked=ratios_v)
                     for v, ratios_v in zip(block, ratios)]
     return all(rep.localizable for rep in reports), reports

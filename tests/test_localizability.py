@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +25,6 @@ from localspec import (
 from localspec._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
 from localspec.io import example1_system
 from localspec.localizability import BLOCK_DOUBLES, _step_ratios, _vertex_block
-from localspec.localizability import _dd_add, _dd_div, _dd_mul, _dd_sqrt, _dd_sum
-from localspec.localizability import _two_prod, _two_sum
 
 
 class TestRMatrix:
@@ -253,13 +250,11 @@ class TestProperties:
 # --- the stacked pass against the per-vertex oracle -----------------------------
 #
 # A one-vertex Arnoldi written with loops over explicit a12 and A22, apart from
-# the stacked full-coordinate staircase; it goes to double-double after a
-# near-breakdown step, as the staircase does, by a rule of its own. Flags and
-# ranks must agree exactly. Margins are ratios to
-# max(||A22||_F, ||a12||), so they must agree to 1e-12 of that scale: the
-# margin of an exact breakdown sits at the rounding floor and has no
-# relative digits to compare. A one-vertex query runs its vertex's block, so
-# its report must equal the all-vertex one exactly.
+# the stacked full-coordinate staircase. Flags and ranks must agree exactly.
+# Margins are ratios to max(||A22||_F, ||a12||), so they must agree to 1e-12
+# of that scale: the margin of an exact breakdown sits at the rounding floor
+# and has no relative digits to compare. A one-vertex query runs its vertex's
+# block, so its report must equal the all-vertex one exactly.
 
 MARGIN_ATOL = 1e-12
 
@@ -272,21 +267,15 @@ def _split_blocks_oracle(a: np.ndarray, vertex: int):
     return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
 
 
-def step_ratios_oracle(a: np.ndarray, vertex: int, dd: bool = False) -> np.ndarray:
+def step_ratios_oracle(a: np.ndarray, vertex: int) -> np.ndarray:
     """Arnoldi on A22^T from a12, one basis vector at a time, with two
-    classical Gram-Schmidt passes; the step norms over max(||A22||_F, ||a12||).
-    With ``dd`` every number is a double-double pair (hi, lo)."""
+    classical Gram-Schmidt passes; the step norms over max(||A22||_F, ||a12||)."""
     top = np.max(np.abs(a))
-    _, a12, _, a22 = _split_blocks_oracle(np.ldexp(a, -np.frexp(top)[1]) if top > 0 else a, vertex)
+    _, a12, _, a22 = _split_blocks_oracle(a / top if top > 0 else a, vertex)
     scale = max(np.linalg.norm(a22), np.linalg.norm(a12))
-    steps = _arnoldi_dd_oracle(a12, a22) if dd else _arnoldi_oracle(a12, a22)
-    return steps / scale if scale > 0 else np.zeros_like(steps)
-
-
-def _arnoldi_oracle(a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    basis, steps = [], []
+    basis, ratios = [], []
     w = a12
-    for l in range(len(a12)):
+    for l in range(a.shape[0] - 1):
         if l:
             w = basis[-1] @ a22
             for _ in range(2):
@@ -294,41 +283,16 @@ def _arnoldi_oracle(a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
                 for c, q in zip(coeffs, basis):
                     w = w - c * q
         h = np.linalg.norm(w)
-        steps.append(h)
+        ratios.append(h / scale if scale > 0 else 0.0)
         basis.append(w / h if h > 0 else w)
-    return np.array(steps)
-
-
-def _arnoldi_dd_oracle(a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    basis, steps = [], []
-    w = (a12, np.zeros_like(a12))
-    for l in range(len(a12)):
-        if l:
-            w = _dd_sum(_dd_mul((a22.T, 0.0), basis[-1]))  # entry j sums q_i a22[i, j]
-            done = tuple(np.array(part) for part in zip(*basis))  # l x (n-1)
-            for _ in range(2):
-                coeffs = _dd_sum(_dd_mul(done, w))
-                t = _dd_sum(_dd_mul((done[0].T, done[1].T), coeffs))
-                w = _dd_add(w, (-t[0], -t[1]))
-        h = _dd_sqrt(_dd_sum(_dd_mul(w, w)))
-        steps.append(h[0])
-        basis.append(_dd_div(w, h) if h[0] > 0 else w)
-    return np.array(steps, dtype=float)
+    return np.array(ratios)
 
 
 def is_localizable_oracle(sys: LinearSystem, vertex: int, rel_tol: float):
-    """(localizable, numeric rank, margin) from the oracle's step ratios.
-
-    A step h leaves the next basis vector wrong by about eps / h in double,
-    which can swamp every later step; where a step before the one that ends
-    the count is below 1e-3, the ratios are computed again in double-double.
-    """
-    for dd in (False, True):
-        ratios = step_ratios_oracle(sys.a, vertex, dd)
-        below = np.flatnonzero(ratios <= rel_tol)
-        rank = int(below[0]) if below.size else sys.n - 1
-        if ratios[:rank].min(initial=np.inf) >= 1e-3:
-            break
+    """(localizable, numeric rank, margin) from the oracle's step ratios."""
+    ratios = step_ratios_oracle(sys.a, vertex)
+    below = np.flatnonzero(ratios <= rel_tol)
+    rank = int(below[0]) if below.size else sys.n - 1
     margin = float(ratios[: rank + 1].min()) if ratios.size else None
     return rank == sys.n - 1, rank, margin
 
@@ -438,49 +402,6 @@ class TestStackedPassMatchesThePerVertexOracle:
         assert peak < 4 * 2**20
 
 
-class TestDoubleDouble:
-    """The double-double helpers of the staircase and the oracle, against
-    exact rationals: each result is within 1e-30 of the size of its terms."""
-
-    @staticmethod
-    def _pairs(rng, size):
-        hi = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-        return _two_sum(hi, hi * rng.uniform(-2.0**-53, 2.0**-53, size))
-
-    @staticmethod
-    def _exact(x):
-        return [Fraction(float(h)) + Fraction(float(l)) for h, l in zip(*x)]
-
-    def test_two_prod_is_exact(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal(200), rng.standard_normal(200) * 1e-5
-        for p, e, x, y in zip(*_two_prod(a, b), a, b):
-            assert Fraction(float(p)) + Fraction(float(e)) == Fraction(float(x)) * Fraction(float(y))
-
-    def test_operations(self):
-        rng = np.random.default_rng(1)
-        x, y = self._pairs(rng, 200), self._pairs(rng, 200)
-        y = (np.abs(y[0]), np.where(y[0] < 0, -y[1], y[1]))  # positive for sqrt
-        ex, ey = self._exact(x), self._exact(y)
-        cases = [(_dd_add(x, y), [a + b for a, b in zip(ex, ey)], [abs(a) + abs(b) for a, b in zip(ex, ey)]),
-                 (_dd_mul(x, y), [a * b for a, b in zip(ex, ey)], None),
-                 (_dd_div(x, y), [a / b for a, b in zip(ex, ey)], None)]
-        for got, want, size in cases:
-            for g, w, m in zip(self._exact(got), want, size or [abs(w) for w in want]):
-                assert abs(g - w) <= Fraction(1, 10**30) * m
-        for g, w in zip(self._exact(_dd_sqrt(y)), ey):
-            assert abs(g * g - w) <= Fraction(1, 10**30) * w
-
-    def test_sum_along_the_last_axis(self):
-        rng = np.random.default_rng(2)
-        for m in (1, 2, 7, 16, 31):
-            x = self._pairs(rng, (3, m))
-            got = self._exact(_dd_sum(x))
-            for row, g in enumerate(got):
-                terms = self._exact((x[0][row], x[1][row]))
-                assert abs(g - sum(terms)) <= Fraction(1, 10**30) * sum(abs(t) for t in terms)
-
-
 # --- the staircase against Hautus ----------------------------------------------
 
 
@@ -519,21 +440,6 @@ class TestStaircaseEdgeCases:
         assert hautus_margin(sys, vertex) > 1e-6
         assert hautus_localizable(sys, vertex)
         assert is_localizable(sys, vertex).localizable
-
-    @pytest.mark.parametrize("seed, vertex", [(149, 9), (351, 17)])
-    def test_exact_breakdown_after_a_near_breakdown_reads_as_hautus(self, seed, vertex):
-        # a tiny step before the exact breakdown left the double staircase
-        # reading noise of 3.6e-11 and 1.4e-10 there, so vertex 17 of seed
-        # 351 read localizable; double-double reads the breakdown below 1e-20
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((18, 18)) / np.sqrt(18)
-        a *= rng.random((18, 18)) < 0.15
-        sys = LinearSystem(a)
-        assert hautus_margin(sys, vertex) < 1e-16
-        assert not hautus_localizable(sys, vertex)
-        report = is_localizable(sys, vertex)
-        assert (report.localizable, report.numeric_rank) == (False, 16)
-        assert report.margin < 1e-20
 
     def test_one_state_margin_is_null_in_the_payload(self):
         _, [report] = localizable_everywhere(LinearSystem([[0.5]]))
