@@ -1,9 +1,10 @@
 """Dense linear-algebra helpers and the package's tolerance table.
 
-All rank decisions in this package go through :func:`numeric_rank`, so the
-one tolerance convention (relative to the largest singular value) is applied
-uniformly to localizability tests and least-squares solves. Every default
-tolerance of the package is defined here, once.
+Rank decisions on singular values (least squares, the Hautus test, hidden
+state recovery) go through :func:`numeric_rank`, relative to the largest
+one; the localizability staircase cuts its own step ratios at the same
+rank tolerance. Every tolerance passes :func:`check_tol`, and every
+default tolerance of the package is defined here, once.
 
 Every least-squares fit goes through :func:`lstsq_min_norm`, which takes
 the augmented matrix ``[a | b]`` in one buffer, cuts the rank on the
@@ -38,19 +39,19 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
-def check_rank_tol(rel_tol: float) -> None:
-    """ValueError unless ``rel_tol`` is finite and positive (NaN fails the comparison)."""
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"rank tolerance must be finite and positive, got {rel_tol}")
+def check_tol(value: float, name: str) -> None:
+    """ValueError naming the tolerance unless it is finite and positive (NaN fails)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} tolerance must be finite and positive, got {value}")
 
 
 def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     """Number of singular values exceeding ``rel_tol * sigma_max``.
 
     An all-zero (or empty) matrix has rank 0. ``rel_tol`` must pass
-    :func:`check_rank_tol`.
+    :func:`check_tol`.
     """
-    check_rank_tol(rel_tol)
+    check_tol(rel_tol, "rank")
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
@@ -74,7 +75,7 @@ def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, flo
     Since sigma_min <= min |t_ii| and sigma_max >= max |t_ii| for a
     triangle, a diagonal that fails the cut goes to the SVD directly.
     """
-    check_rank_tol(rel_tol)
+    check_tol(rel_tol, "rank")
     ab = np.asarray(ab)
     n = ab.shape[1] - 1
     r = np.linalg.qr(ab, mode="r")

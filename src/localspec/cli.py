@@ -177,32 +177,31 @@ def cmd_analyze(args) -> int:
     started = time.time()
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
-    if not 1 <= args.vertex <= n:
-        raise ValueError(f"vertex {args.vertex} out of range 1..{n}")
+    dynsys.check_vertex(args.vertex, n)
     if args.max_k is not None and not args.gap:
         raise ValueError("--max-k caps the cluster count of --gap; pass --gap with it")
     s = args.delays if args.delays is not None else n
-    u = states[:, args.vertex - 1]
-    report = spectral.analyze_vertex(
-        u,
-        s,
-        vertex=args.vertex,
-        detect_clusters=args.gap,
-        max_k=args.max_k,
-        svd_tol=args.tol_rank,
-        distinct_tol=args.tol_distinct,
-    )
-    _emit_json(args, "analyze", report.to_json_dict(), [args.trajectory], started)
+    report = spectral.analyze_vertex(states[:, args.vertex - 1], s, vertex=args.vertex,
+                                     svd_tol=args.tol_rank, distinct_tol=args.tol_distinct)
+    payload = report.to_json_dict()
+    if args.gap:
+        payload["cluster_count"] = spectral.detect_cluster_count(report.eigenvalues, args.max_k)
+    _emit_json(args, "analyze", payload, [args.trajectory], started)
     return 0
 
 
+def _analyze(states, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+    """The report of each of ``vertices``, analyzed from its own column of ``states``."""
+    return {v: spectral.analyze_vertex(states[:, v - 1], s, vertex=v, svd_tol=svd_tol,
+                                       distinct_tol=distinct_tol)
+            for v in vertices}
+
+
 def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
-    """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra,
-    each vertex analyzed from its own column; ``k="auto"`` takes the consensus count.
+    """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra
+    of :func:`_analyze` over every vertex; ``k="auto"`` takes the consensus count.
     Labels need every vertex's components, so a vertex without them is an error."""
-    reports = {v: spectral.analyze_vertex(states[:, v - 1], s, vertex=v, check_bipartite=False,
-                                          svd_tol=svd_tol, distinct_tol=distinct_tol)
-               for v in range(1, states.shape[1] + 1)}
+    reports = _analyze(states, range(1, states.shape[1] + 1), s, svd_tol, distinct_tol)
     for v, r in reports.items():
         if r.components is None:
             raise spectral.DegenerateSpectrumError(
@@ -258,8 +257,7 @@ def _demo_fig1(seed, outdir):
 
     everywhere, _ = localizability.localizable_everywhere(system)
     direct = spectral.sort_eigenvalues(np.linalg.eigvals(system.a))
-    reports = {v: spectral.analyze_vertex(traj.local(v), system.n, vertex=v)
-               for v in (1, 3, 5)}
+    reports = _analyze(traj.states, (1, 3, 5), system.n)
     # vertex 0 marks the direct global spectrum
     spectra = {0: direct, **{v: r.eigenvalues for v, r in reports.items()}}
     lams = np.concatenate(list(spectra.values()))

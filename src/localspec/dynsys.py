@@ -19,6 +19,12 @@ class GenerationError(RuntimeError):
     """A seeded generator exhausted its :data:`MAX_DRAWS` draws."""
 
 
+def check_vertex(vertex: int, n: int) -> None:
+    """ValueError unless ``vertex`` is one of the vertices 1..n."""
+    if not 1 <= vertex <= n:
+        raise ValueError(f"vertex {vertex} out of range 1..{n}")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time linear dynamics x(k+1) = a @ x(k).
@@ -69,8 +75,7 @@ class Trajectory:
 
     def local(self, vertex: int) -> np.ndarray:
         """Scalar observations of one vertex (1-based index)."""
-        if not 1 <= vertex <= self.n:
-            raise ValueError(f"vertex {vertex} out of range 1..{self.n}")
+        check_vertex(vertex, self.n)
         return self.states[:, vertex - 1]
 
 
@@ -128,8 +133,7 @@ def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
 
 def simulate_local(sys: LinearSystem, x0: np.ndarray, steps: int, vertex: int) -> np.ndarray:
     """Scalar trajectory observed at one vertex of the full simulation."""
-    if not 1 <= vertex <= sys.n:
-        raise ValueError(f"vertex {vertex} out of range 1..{sys.n}")
+    check_vertex(vertex, sys.n)
     return simulate(sys, x0, steps).local(vertex)
 
 

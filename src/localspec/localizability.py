@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_TOL, check_rank_tol, lstsq_min_norm
+from ._linalg import DEFAULT_RANK_TOL, check_tol, lstsq_min_norm
 from ._linalg import numeric_rank, singular_values
-from .dynsys import LinearSystem
+from .dynsys import LinearSystem, check_vertex
 
 
 class NotLocalizableError(ValueError):
@@ -67,11 +67,6 @@ BLOCK_DOUBLES = 2**17
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
-def _check_vertex(vertex: int, n: int) -> None:
-    if not 1 <= vertex <= n:
-        raise ValueError(f"vertex {vertex} out of range 1..{n}")
-
-
 def _block_size(n: int) -> int:
     return max(1, BLOCK_DOUBLES // n**2)
 
@@ -80,7 +75,7 @@ def _vertex_block(n: int, vertex: int) -> range:
     """The :func:`_block_size` consecutive vertices whose staircase runs with
     ``vertex``'s; its rounding depends on the block, so every query of
     ``vertex`` runs this one."""
-    _check_vertex(vertex, n)
+    check_vertex(vertex, n)
     size = _block_size(n)
     first = (vertex - 1) // size * size + 1
     return range(first, min(first + size, n + 1))
@@ -93,7 +88,7 @@ def _split_blocks(a: np.ndarray, vertex: int):
     components keep their original ordering; the spectrum is unchanged.
     """
     n = a.shape[0]
-    _check_vertex(vertex, n)
+    check_vertex(vertex, n)
     order = np.r_[vertex - 1, 0 : vertex - 1, vertex:n]
     p = a[np.ix_(order, order)]
     return p[0, 0], p[0, 1:], p[1:, 0], p[1:, 1:]
@@ -180,7 +175,7 @@ def is_localizable(
     about 5 ms at n = 48 and 11 ms at n = 120. ``stacked`` is this vertex's
     step ratios when a caller has already computed them for its block.
     """
-    check_rank_tol(rel_tol)
+    check_tol(rel_tol, "rank")
     if stacked is None:
         block = _vertex_block(sys.n, vertex)
         stacked = _step_ratios(sys.a, block)[vertex - block.start]
@@ -204,7 +199,7 @@ def localizable_everywhere(
     :func:`_vertex_block`: one :func:`_step_ratios` staircase per block, then
     one :func:`is_localizable` report per vertex.
     """
-    check_rank_tol(rel_tol)
+    check_tol(rel_tol, "rank")
     size = _block_size(sys.n)
     reports = []
     for first in range(1, sys.n + 1, size):
@@ -224,7 +219,7 @@ def hautus_localizable(sys: LinearSystem, vertex: int, rel_tol: float = DEFAULT_
     1-dimensional system has an empty A22 and passes vacuously, as in
     :func:`is_localizable`; ``rel_tol`` is checked there too.
     """
-    check_rank_tol(rel_tol)
+    check_tol(rel_tol, "rank")
     _, a12, _, a22 = _split_blocks(sys.a, vertex)
     eye = np.eye(sys.n - 1)
     for lam in np.linalg.eigvals(a22):

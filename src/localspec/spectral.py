@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (DEFAULT_BIPARTITE_TOL, DEFAULT_DISTINCT_TOL, DEFAULT_RANK_TOL,
-                      DEFAULT_SIGN_TOL, lstsq_min_norm)
+                      DEFAULT_SIGN_TOL, check_tol, lstsq_min_norm)
 from .embedding import CompanionModel, fit_companion
 
 
@@ -31,7 +31,9 @@ class SpectralReport:
     vertices because they observe the same trajectory, so sign patterns are
     globally consistent without any coordination. ``components`` is None
     when the estimated eigenvalues coincide, since the data then do not
-    determine them.
+    determine them. :attr:`bipartite` matches the spectrum against its
+    negation only when read; the JSON form leaves the gap count and the
+    labels null for the caller to fill in.
     """
 
     eigenvalues: np.ndarray
@@ -39,8 +41,11 @@ class SpectralReport:
     components: np.ndarray | None
     trace_estimate: float
     det_estimate: float
-    bipartite: bool | None = None
-    cluster_count: int | None = None
+
+    @property
+    def bipartite(self) -> bool:
+        """:func:`is_bipartite_spectrum` of the estimated eigenvalues."""
+        return is_bipartite_spectrum(self.eigenvalues)
 
     def to_json_dict(self) -> dict:
         def cplx(values):
@@ -54,8 +59,8 @@ class SpectralReport:
             "trace_estimate": float(self.trace_estimate),
             "det_estimate": float(self.det_estimate),
             "bipartite": self.bipartite,
-            "cluster_count": self.cluster_count,
-            "labels": None,  # labels need every vertex's components (the cluster command)
+            "cluster_count": None,
+            "labels": None,
         }
 
 
@@ -114,6 +119,7 @@ def is_bipartite_spectrum(eigs: np.ndarray, tol: float = DEFAULT_BIPARTITE_TOL) 
     A directed graph is bipartite exactly when its spectrum is invariant
     under multiplication by -1; zero eigenvalues match themselves.
     """
+    check_tol(tol, "bipartite")
     eigs = np.asarray(eigs, dtype=complex)
     return bool(multiset_distance(eigs, -eigs) <= tol)
 
@@ -136,6 +142,7 @@ def local_eigenvector_components(
     singular values, the rank cut and the minimum-norm solution. Pairs get
     exact conjugate coefficients and real eigenvalues real ones.
     """
+    check_tol(distinct_tol, "distinct")
     u = np.asarray(u).reshape(-1)
     eigs = np.asarray(eigs, dtype=complex).reshape(-1)
     if np.iscomplexobj(u):
@@ -254,36 +261,27 @@ def analyze_vertex(
     s: int,
     vertex: int = 1,
     *,
-    check_bipartite: bool = True,
-    detect_clusters: bool = False,
-    max_k: int | None = None,
     svd_tol: float = DEFAULT_RANK_TOL,
     distinct_tol: float = DEFAULT_DISTINCT_TOL,
 ) -> SpectralReport:
-    """Full local pipeline: fit, eigenvalues, components, and derived flags.
+    """Local pipeline: fit, eigenvalues, trace and determinant, and components.
 
     ``vertex`` only labels the report; the analysis itself never sees any
     other vertex's data. The components are None when two estimated
-    eigenvalues coincide within ``distinct_tol``. Cluster detection is
-    opt-in because it presumes a real (Laplacian-driven) spectrum; it reads
-    the gap of the real parts, as :func:`consensus_cluster_count` does for
-    one spectrum.
+    eigenvalues coincide within ``distinct_tol``. Bipartiteness, the gap
+    count and the labels are read off the report by whoever needs them.
     """
     model = fit_companion(u, s, svd_tol)
     eigs = local_eigenvalues(model)
     trace, det = trace_det(model)
-    bipartite = is_bipartite_spectrum(eigs) if check_bipartite else None
     try:
         components = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
     except DegenerateSpectrumError:
         components = None
-    cluster_count = detect_cluster_count(eigs, max_k) if detect_clusters else None
     return SpectralReport(
         eigenvalues=eigs,
         vertex=vertex,
         components=components,
         trace_estimate=trace,
         det_estimate=det,
-        bipartite=bipartite,
-        cluster_count=cluster_count,
     )

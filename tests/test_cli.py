@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import growing_states
-from localspec import normalized_laplacian
-from localspec.cli import build_parser, main
+from localspec import (LinearSystem, generate_sbm, is_strongly_connected, normalized_laplacian,
+                       simulate, spectral)
+from localspec.cli import _cluster, build_parser, main
 from localspec.io import example1_path, load_system, load_trajectory, save_trajectory
 
 
@@ -150,6 +151,16 @@ class TestOptionValues:
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError" and "--gap" in err["error"]
         assert run("analyze", traj, "--max-k", "3", "--gap", "--quiet") == 0
+
+    @pytest.mark.parametrize("vertex", [0, 7])
+    def test_vertex_out_of_range_rejected(self, tmp_path, capsys, vertex):
+        # the fixture has 6 vertices; unchecked, --vertex 0 would read column -1
+        traj = self._trajectory(tmp_path)
+        assert run("analyze", traj, "--vertex", vertex, "--out", tmp_path / "r.json",
+                   "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"vertex {vertex} out of range 1..6", "type": "ValueError"}
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_cluster_count_below_one_rejected(self, tmp_path, capsys, k):
@@ -633,6 +644,35 @@ class TestCluster:
         assert run("cluster", traj, "--k", "1", "--out", out, "--quiet") == 0
         payload = json.loads(out.read_text())
         assert {entry["cluster"] for entry in payload["labels"]} == {0}
+
+
+class TestBipartiteMatchingWhereReported:
+    """Bipartiteness is matched where a report prints it, and nowhere else."""
+
+    def test_cluster_never_matches(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("cluster matched a spectrum against its negation")
+
+        monkeypatch.setattr(spectral, "is_bipartite_spectrum", refuse)
+        w = generate_sbm([4, 4, 4], 0.9, 0.1, 1.0, 0.2, seed=0)
+        assert is_strongly_connected(w)
+        a = np.eye(12) - 0.5 * normalized_laplacian(w)
+        states = simulate(LinearSystem(a), np.random.default_rng(0).standard_normal(12),
+                          120).states
+        payload, comps, _ = _cluster(states, 12, 3)
+        assert [e["cluster"] for e in payload["labels"]] == [0] * 4 + [1] * 4 + [2] * 4
+        assert sorted(comps) == list(range(1, 13))
+
+    def test_analyze_matches_once_and_prints_the_flag(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = spectral.is_bipartite_spectrum
+        monkeypatch.setattr(spectral, "is_bipartite_spectrum",
+                            lambda eigs: calls.append(eigs) or original(eigs))
+        traj = TestOptionValues()._trajectory(tmp_path)  # the bipartite fixture
+        assert run("analyze", traj, "--vertex", "1", "--gap") == 0
+        out = capsys.readouterr().out
+        assert '"bipartite": true' in out and json.loads(out)["bipartite"] is True
+        assert len(calls) == 1
 
 
 class TestDemos:

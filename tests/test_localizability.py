@@ -459,6 +459,16 @@ class TestStaircaseEdgeCases:
         assert not everywhere
         assert [(r.margin, r.numeric_rank) for r in reports] == [(0.0, 0)] * 4
 
+    def test_weakly_coupled_vertex_keeps_its_small_steps(self):
+        # steps 1e-8 and 1e-5 over ||A22||_F = sqrt(2), both far above the
+        # cut; their product is below 1e-12 and must not end the staircase
+        sys = LinearSystem([[0.0, 1e-8, 0.0], [0.0, 1.0, 1e-5], [0.0, 0.0, 1.0]])
+        report = is_localizable(sys, 1)
+        assert report.localizable and report.numeric_rank == 2
+        assert report.margin == pytest.approx(1e-8 / np.sqrt(2), rel=1e-12)
+        assert hautus_localizable(sys, 1)
+        _assert_same_report(report, *is_localizable_oracle(sys, 1, DEFAULT_RANK_TOL))
+
     @pytest.mark.parametrize("vertex", [0, 4])
     def test_vertex_out_of_range(self, vertex):
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range 1..3"):

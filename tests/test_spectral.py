@@ -123,6 +123,12 @@ class TestBipartiteSpectrum:
         for _ in range(5):
             assert is_bipartite_spectrum(rng.permutation(eigs), tol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, bad):
+        # NaN compares False: unchecked, it would call [1, -1] not bipartite
+        with pytest.raises(ValueError, match="bipartite tolerance must be finite and positive"):
+            is_bipartite_spectrum(np.array([1.0, -1.0]), tol=bad)
+
 
 class TestEigenvectorComponents:
     def test_single_geometric_mode(self):
@@ -134,6 +140,13 @@ class TestEigenvectorComponents:
     def test_rank_tolerance_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
             local_eigenvector_components(0.5 ** np.arange(8), np.array([0.5]), svd_tol=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_distinct_tolerance_must_be_finite_and_positive(self, bad):
+        # unchecked, a NaN or negative tolerance lets the repeated root 1
+        # through and returns [0.5, 0.5]
+        with pytest.raises(ValueError, match="distinct tolerance must be finite and positive"):
+            local_eigenvector_components(np.ones(8), np.array([1.0, 1.0]), distinct_tol=bad)
 
     def test_matches_eigendecomposition_oracle(self):
         for seed in range(25):
@@ -421,8 +434,10 @@ class TestAnalyzeVertex:
             local_eigenvector_components(u, report.eigenvalues)
 
     def test_no_component_switch(self):
+        # one analysis for every caller: bipartiteness and the gap count are
+        # read off the report, not switched on here
         params = inspect.signature(analyze_vertex).parameters
-        assert "compute_components" not in params and len(params) == 8
+        assert list(params) == ["u", "s", "vertex", "svd_tol", "distinct_tol"]
 
     def test_bipartite_fixture_flag(self):
         fix = bipartite_fixture()
