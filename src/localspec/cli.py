@@ -162,13 +162,12 @@ def cmd_localizability(args) -> int:
     if isinstance(system, dynsys.CoupledCellSystem):
         system = dynsys.koopman_lift(system)
     if args.vertex is not None:
-        reports = [localizability.is_localizable(system, args.vertex, args.tol_rank)]
-        everywhere = None
+        report = localizability.is_localizable(system, args.vertex, args.tol_rank)
+        payload = {"reports": [report.to_json_dict()]}
     else:
         everywhere, reports = localizability.localizable_everywhere(system, args.tol_rank)
-    payload = {"reports": [r.to_json_dict() for r in reports]}
-    if everywhere is not None:
-        payload["localizable_everywhere"] = everywhere
+        payload = {"reports": [r.to_json_dict() for r in reports],
+                   "localizable_everywhere": everywhere}
     _emit_json(args, "localizability", payload, [args.system], started)
     return 0
 

@@ -25,6 +25,14 @@ def check_vertex(vertex: int, n: int) -> None:
         raise ValueError(f"vertex {vertex} out of range 1..{n}")
 
 
+def _state_vector(x0, dim: int) -> np.ndarray:
+    """``x0`` as a flat float vector; ValueError unless it has ``dim`` entries."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != dim:
+        raise ValueError(f"x0 has dimension {x0.shape[0]}, system needs {dim}")
+    return x0
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time linear dynamics x(k+1) = a @ x(k).
@@ -118,9 +126,7 @@ class CoupledCellSystem:
 
 def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
     """Iterate x(k+1) = a @ x(k) for ``steps`` steps starting from ``x0``."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, system needs {sys.n}")
+    x0 = _state_vector(x0, sys.n)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     states = np.empty((steps + 1, sys.n))
@@ -251,9 +257,7 @@ def bipartite_fixture() -> LinearSystem:
 
 def simulate_coupled(sys: CoupledCellSystem, x0: np.ndarray, steps: int) -> Trajectory:
     """Simulate the coupled-cell network; state layout (x_{1,1}, x_{1,2}, x_{2,1}, ...)."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != 2 * sys.d:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, system needs {2 * sys.d}")
+    x0 = _state_vector(x0, 2 * sys.d)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     states = np.empty((steps + 1, 2 * sys.d))
@@ -294,9 +298,7 @@ def koopman_lift(sys: CoupledCellSystem) -> LinearSystem:
 
 def lift_state(sys: CoupledCellSystem, x0: np.ndarray) -> np.ndarray:
     """Embed a 2d-dimensional coupled-cell state into the 3d lifted space."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != 2 * sys.d:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, system needs {2 * sys.d}")
+    x0 = _state_vector(x0, 2 * sys.d)
     lifted = np.empty(3 * sys.d)
     lifted[0::3] = x0[0::2]
     lifted[1::3] = x0[1::2]

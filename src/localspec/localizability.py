@@ -67,18 +67,18 @@ BLOCK_DOUBLES = 2**17
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
-def _block_size(n: int) -> int:
-    return max(1, BLOCK_DOUBLES // n**2)
+def _blocks(n: int) -> list[range]:
+    """Vertices 1..n in consecutive ranges of ``max(1, BLOCK_DOUBLES // n**2)``,
+    the last one possibly shorter: the blocks whose staircases run together."""
+    size = max(1, BLOCK_DOUBLES // n**2)
+    return [range(first, min(first + size, n + 1)) for first in range(1, n + 1, size)]
 
 
 def _vertex_block(n: int, vertex: int) -> range:
-    """The :func:`_block_size` consecutive vertices whose staircase runs with
-    ``vertex``'s; its rounding depends on the block, so every query of
-    ``vertex`` runs this one."""
+    """The block of :func:`_blocks` that holds ``vertex``; its staircase's
+    rounding depends on the block, so every query of ``vertex`` runs this one."""
     check_vertex(vertex, n)
-    size = _block_size(n)
-    first = (vertex - 1) // size * size + 1
-    return range(first, min(first + size, n + 1))
+    return next(block for block in _blocks(n) if vertex in block)
 
 
 def _split_blocks(a: np.ndarray, vertex: int):
@@ -195,15 +195,12 @@ def localizable_everywhere(
 ) -> tuple[bool, list[LocalizabilityReport]]:
     """Conjunction of :func:`is_localizable` over all vertices, reports retained.
 
-    The vertices go in blocks of :func:`_block_size` vertices, the blocks of
-    :func:`_vertex_block`: one :func:`_step_ratios` staircase per block, then
+    One :func:`_step_ratios` staircase per block of :func:`_blocks`, then
     one :func:`is_localizable` report per vertex.
     """
     check_tol(rel_tol, "rank")
-    size = _block_size(sys.n)
     reports = []
-    for first in range(1, sys.n + 1, size):
-        block = range(first, min(first + size, sys.n + 1))
+    for block in _blocks(sys.n):
         ratios = _step_ratios(sys.a, block)
         reports += [is_localizable(sys, v, rel_tol, stacked=ratios_v)
                     for v, ratios_v in zip(block, ratios)]
@@ -237,37 +234,36 @@ def recover_hidden_state(
 ) -> np.ndarray:
     """Reconstruct the hidden block v(k) from n consecutive local values.
 
-    Solves R v(k) = b(k), where row r of b(k) subtracts from u(k+r) the
-    contributions that reach the observed vertex through its own past:
-    b_r = u(k+r) - a11 u(k+r-1) - sum_{l=0}^{r-2} (a12^T A22^l a21) u(k+r-2-l).
-    The returned components keep the original vertex order with ``vertex``
-    removed, so a 1-dimensional system has the empty hidden state. Raises
-    :class:`NotLocalizableError`, carrying R's singular values, when R is
-    numerically singular at ``rel_tol``.
+    Solves R v(k) = b(k), where b_r = u(k+r) - sum_{j<r} g_j u(k+r-1-j)
+    removes what reaches the observed vertex through its own past (g_0 = a11,
+    g_{l+1} = a12^T A22^l a21), one convolution; one :func:`lstsq_min_norm`
+    factorization of [R | b] both ranks R and solves. The components keep
+    the original vertex order with ``vertex`` removed, so a 1-dimensional
+    system has the empty hidden state. Raises :class:`NotLocalizableError`,
+    carrying R's singular values, when R is numerically singular at
+    ``rel_tol``. R's monomial rows lose rank to rounding (dense N(0, 1/n)
+    draws do by n = 40), so the message says whether :func:`is_localizable`
+    finds the vertex not localizable or R merely ill-conditioned.
     """
     n = sys.n
     window = np.asarray(window, dtype=float).reshape(-1)
     if window.shape[0] != n:
         raise ValueError(f"window must hold n = {n} values, got {window.shape[0]}")
     rows = r_matrix(sys, vertex)
-    sigma = singular_values(rows)
-    rank = numeric_rank(sigma, rel_tol)
-    if rank < n - 1:
-        raise NotLocalizableError(
-            f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
-            f"(numeric rank {rank} of {n - 1})",
-            singular_values=sigma,
-        )
     a11, _, a21, _ = _split_blocks(sys.a, vertex)
-    feedthrough = rows @ a21  # entry l is a12^T A22^l a21
-
-    b = np.empty(n - 1)
-    for r in range(1, n):
-        acc = window[r] - a11 * window[r - 1]
-        for l in range(r - 1):
-            acc -= feedthrough[l] * window[r - 2 - l]
-        b[r - 1] = acc
-    return lstsq_min_norm(np.column_stack([rows, b]), rel_tol)[0]
+    b = window[1:] - np.convolve(np.r_[a11, rows @ a21], window)[: n - 1]
+    hidden, rank, sigma_ratio = lstsq_min_norm(np.column_stack([rows, b]), rel_tol)
+    if rank < n - 1:
+        report = is_localizable(sys, vertex, rel_tol)
+        if report.localizable:
+            message = (f"system is localizable in vertex {vertex}, but R is numerically "
+                       f"singular at rel_tol {rel_tol:g} (numeric rank {rank} of {n - 1}, "
+                       f"singular-value ratio {sigma_ratio:.2g})")
+        else:
+            message = (f"system is not localizable in vertex {vertex} at rel_tol {rel_tol:g} "
+                       f"(numeric rank {report.numeric_rank} of {n - 1})")
+        raise NotLocalizableError(message, singular_values(rows))
+    return hidden
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:

@@ -32,8 +32,8 @@ class SpectralReport:
     globally consistent without any coordination. ``components`` is None
     when the estimated eigenvalues coincide, since the data then do not
     determine them. :attr:`bipartite` matches the spectrum against its
-    negation only when read; the JSON form leaves the gap count and the
-    labels null for the caller to fill in.
+    negation only when read; in the JSON form, ``analyze --gap`` fills in the
+    gap count, and the labels stay null (``cluster`` writes its own file).
     """
 
     eigenvalues: np.ndarray

@@ -638,6 +638,19 @@ class TestCluster:
             assert row.split(",")[0] == str(v)
             assert values == [part for c in comps for part in (c["re"], c["im"])]
 
+    def test_components_out_writes_the_default_csv_at_the_given_path(self, tmp_path):
+        traj = self._bridged_cliques_trajectory(tmp_path)
+        assert run("cluster", traj, "--k", "2", "--out", tmp_path / "labels.json", "--quiet") == 0
+        elsewhere = tmp_path / "other" / "labels.json"
+        comps = tmp_path / "comps.csv"
+        elsewhere.parent.mkdir()
+        assert run("cluster", traj, "--k", "2", "--out", elsewhere,
+                   "--components-out", comps, "--quiet") == 0
+        assert comps.read_bytes() == (tmp_path / "labels_components.csv").read_bytes()
+        assert not (elsewhere.parent / "labels_components.csv").exists()
+        manifest = json.loads(Path(f"{elsewhere}.manifest.json").read_text())
+        assert manifest["outputs"] == [str(elsewhere), str(comps)]
+
     def test_forced_single_cluster(self, tmp_path):
         traj = self._bridged_cliques_trajectory(tmp_path)
         out = tmp_path / "labels.json"

@@ -63,8 +63,12 @@ class TestSimulate:
         assert np.allclose(expected_float[2], [0.61, 0.61, -0.15], atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x0 has dimension 2, system needs 3"):
             simulate(LinearSystem(np.eye(3)), [1.0, 2.0], 1)
+        cells = coupled_cell_fixture(0)
+        for call in (lambda x0: simulate_coupled(cells, x0, 1), lambda x0: lift_state(cells, x0)):
+            with pytest.raises(ValueError, match=f"x0 has dimension 3, system needs {2 * cells.d}"):
+                call([1.0, 2.0, 3.0])
 
     def test_overflow_rejected_at_first_infinite_step(self):
         # 1e200 * 1e200 overflows at step 1

@@ -12,6 +12,8 @@ from localspec import (
     delay_windows,
     exact_companion,
     fit_companion,
+    hautus_localizable,
+    is_localizable,
     local_eigenvalues,
     predict,
     recover_hidden_state,
@@ -220,8 +222,6 @@ class TestRecoverHiddenState:
         x0 = np.random.default_rng(11).standard_normal(5)
         u = simulate_local(sys, x0, 5, 1)
         # probe a vertex where the permuted system is localizable
-        from localspec import is_localizable
-
         for vertex in range(1, 6):
             if not is_localizable(sys, vertex).localizable:
                 continue
@@ -242,6 +242,23 @@ class TestRecoverHiddenState:
         with pytest.raises(NotLocalizableError) as info:
             recover_hidden_state(sys, 1, np.array([1.0, 0.5, 0.25]))
         assert info.value.singular_values.shape == (2,)
+        assert str(info.value) == ("system is not localizable in vertex 1 at rel_tol 1e-10 "
+                                   "(numeric rank 1 of 2)")
+
+    def test_ill_conditioned_r_of_a_localizable_vertex_is_named_as_such(self):
+        # R's monomial rows reach a singular-value ratio of 2.9e-11 here, below
+        # the cut, while the staircase and Hautus both call vertex 1 localizable
+        n = 40
+        sys = LinearSystem(np.random.default_rng([48, 0]).standard_normal((n, n)) / np.sqrt(n))
+        assert is_localizable(sys, 1).localizable and hautus_localizable(sys, 1)
+        with pytest.raises(NotLocalizableError) as info:
+            recover_hidden_state(sys, 1, np.ones(n))
+        message = str(info.value)
+        assert message.startswith("system is localizable in vertex 1, but R is numerically "
+                                  "singular at rel_tol 1e-10 (numeric rank 38 of 39, ")
+        sigma = info.value.singular_values
+        assert sigma.shape == (n - 1,)
+        assert f"singular-value ratio {sigma[-1] / sigma[0]:.2g})" in message
 
     def test_round_trip_through_global_step(self):
         # recovered hidden state, advanced by the global dynamics, must

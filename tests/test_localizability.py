@@ -24,7 +24,7 @@ from localspec import (
 )
 from localspec._linalg import DEFAULT_RANK_TOL, numeric_rank, singular_values
 from localspec.io import example1_system
-from localspec.localizability import BLOCK_DOUBLES, _step_ratios, _vertex_block
+from localspec.localizability import BLOCK_DOUBLES, _blocks, _step_ratios, _vertex_block
 
 
 class TestRMatrix:
@@ -109,6 +109,25 @@ class TestIsLocalizable:
             assert rep.margin == ratios[: expected + 1].min()
             assert rep.localizable == (rep.numeric_rank == sys.n - 1)
             assert rep.localizable == (rep.margin > rep.tolerance_used)
+
+
+class TestBlockPartition:
+    @pytest.mark.parametrize("n", [1, 2, 50, 51, 70, 240])
+    def test_blocks_cover_the_vertices_once_in_order(self, n):
+        size = max(1, BLOCK_DOUBLES // n**2)
+        blocks = _blocks(n)
+        assert [v for block in blocks for v in block] == list(range(1, n + 1))
+        assert all(len(block) == size for block in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= size
+        for v in range(1, n + 1):
+            block = _vertex_block(n, v)
+            assert block in blocks and v in block
+
+    def test_block_sizes_at_the_edges(self):
+        # 2^17 // 50^2 = 52 covers n = 50 in one block; 2^17 // 51^2 = 50 does not
+        assert _blocks(50) == [range(1, 51)]
+        assert _blocks(51) == [range(1, 51), range(51, 52)]
+        assert _blocks(240)[-1] == range(239, 241)
 
 
 class TestLocalizableEverywhere:
