@@ -1,9 +1,12 @@
 """Command-line front end: generate, simulate, localizability, analyze, cluster, demo.
 
-Every command that writes files also writes a manifest recording the command,
-all parameters, the seed, and the library version; timing lives in its own
-manifest field so the numeric payloads stay byte-identical across reruns with
-the same seed.
+Each command does its work and returns the files it read, the files it wrote
+and its stdout text. :func:`main` owns the rest: it times the command, writes
+the one manifest beside the first output (a demo's in its bundle directory),
+recording the command, all parameters, the seed, and the library version, and
+prints the text unless ``--quiet`` is given and the command wrote files. Timing
+lives in its own manifest field so the numeric payloads stay byte-identical
+across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ def _err(kind: str, message: str) -> int:
     return 1
 
 
-def _write_manifest(path, command, args, seed, inputs, outputs, started):
-    """Record the command, every parsed option, and the time since ``started``."""
+def _write_manifest(path, args, inputs, outputs, started):
+    """Record the command, every parsed option, and the time since ``started``.
+
+    The command label is the subcommand and its kind or name ("demo fig2"); the
+    seed is ``--seed``, else ``--x0-seed``, else null."""
+    options = vars(args)
+    label = [args.command, *(options[k] for k in ("kind", "name") if k in options)]
     manifest = {
-        "command": command,
-        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "quiet")},
-        "seed": seed,
+        "command": " ".join(label),
+        "parameters": {k: v for k, v in options.items() if k not in ("func", "quiet")},
+        "seed": options.get("seed", options.get("x0_seed")),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -42,16 +50,6 @@ def _write_manifest(path, command, args, seed, inputs, outputs, started):
         },
     }
     io.write_json(path, manifest)
-
-
-def _emit_json(args, command, payload, inputs, started):
-    """Write a JSON report to ``--out`` (with manifest) and/or stdout."""
-    if args.out:
-        io.write_json(args.out, payload)
-        _write_manifest(f"{args.out}.manifest.json", command, args, None, inputs,
-                        [args.out], started)
-    if not args.quiet or not args.out:
-        sys.stdout.write(io.json_text(payload))
 
 
 def _convert(option, kind, text, alternative=""):
@@ -90,14 +88,14 @@ _SHARED_OPTIONS = {
 
 
 def _add_shared(parser, *flags):
-    """Register the named shared options, then ``--quiet``, which all commands read."""
+    """Register the named shared options, then ``--quiet``, which :func:`main` applies."""
     for flag in flags:
         parser.add_argument(flag, **_SHARED_OPTIONS[flag])
-    parser.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress stdout when files are written")
 
 
-def cmd_generate(args) -> int:
-    started = time.time()
+def cmd_generate(args):
     out = Path(args.out) if args.out else Path(f"{args.kind}.json")
     inputs = []
     if args.kind == "sbm":
@@ -125,15 +123,10 @@ def cmd_generate(args) -> int:
         a = rng.standard_normal((args.dim, args.dim))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
         io.save_system(out, dynsys.LinearSystem(a))
-    _write_manifest(f"{out}.manifest.json", f"generate {args.kind}", args,
-                    args.seed, inputs, [out], started)
-    if not args.quiet:
-        print(f"wrote {out}")
-    return 0
+    return inputs, [out], f"wrote {out}\n"
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args):
     system = io.load_system(args.system)
     out = Path(args.out) if args.out else Path("trajectory.csv")
     if isinstance(system, dynsys.CoupledCellSystem):
@@ -149,15 +142,20 @@ def cmd_simulate(args) -> int:
         x0 = _parse_x0(args, system.n)
         traj = dynsys.simulate(system, x0, args.steps)
     io.save_trajectory(out, traj.states)
-    _write_manifest(f"{out}.manifest.json", "simulate", args, args.x0_seed,
-                    [args.system], [out], started)
-    if not args.quiet:
-        print(f"wrote {out} ({traj.states.shape[0]} states of dimension {traj.n})")
-    return 0
+    rows, n = traj.states.shape
+    return [args.system], [out], f"wrote {out} ({rows} states of dimension {n})\n"
 
 
-def cmd_localizability(args) -> int:
-    started = time.time()
+def _report(args, source, payload):
+    """A report command's result: ``payload`` serialized once, written to
+    ``--out`` if given, and returned as the stdout text."""
+    text = io.json_text(payload)
+    if args.out:
+        Path(args.out).write_text(text)  # the text exists before the file
+    return [source], [args.out] if args.out else [], text
+
+
+def cmd_localizability(args):
     system = io.load_system(args.system)
     if isinstance(system, dynsys.CoupledCellSystem):
         system = dynsys.koopman_lift(system)
@@ -168,12 +166,10 @@ def cmd_localizability(args) -> int:
         everywhere, reports = localizability.localizable_everywhere(system, args.tol_rank)
         payload = {"reports": [r.to_json_dict() for r in reports],
                    "localizable_everywhere": everywhere}
-    _emit_json(args, "localizability", payload, [args.system], started)
-    return 0
+    return _report(args, args.system, payload)
 
 
-def cmd_analyze(args) -> int:
-    started = time.time()
+def cmd_analyze(args):
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
     dynsys.check_vertex(args.vertex, n)
@@ -185,8 +181,7 @@ def cmd_analyze(args) -> int:
     payload = report.to_json_dict()
     if args.gap:
         payload["cluster_count"] = spectral.detect_cluster_count(report.eigenvalues, args.max_k)
-    _emit_json(args, "analyze", payload, [args.trajectory], started)
-    return 0
+    return _report(args, args.trajectory, payload)
 
 
 def _analyze(states, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
@@ -216,8 +211,7 @@ def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT
     return payload, comps, spectra
 
 
-def cmd_cluster(args) -> int:
-    started = time.time()
+def cmd_cluster(args):
     states = io.load_trajectory(args.trajectory)
     n = states.shape[1]
     s = args.delays if args.delays is not None else n
@@ -237,11 +231,8 @@ def cmd_cluster(args) -> int:
         vertices,
         np.array([comps[v] for v in vertices], dtype=complex).view(float),
     )
-    _write_manifest(f"{labels_out}.manifest.json", "cluster", args, None,
-                    [args.trajectory], [labels_out, comps_out], started)
-    if not args.quiet:
-        print(f"{payload['cluster_count']} clusters over {n} vertices -> {labels_out}")
-    return 0
+    return ([args.trajectory], [labels_out, comps_out],
+            f"{payload['cluster_count']} clusters over {n} vertices -> {labels_out}\n")
 
 
 def _demo_fig1(seed, outdir):
@@ -351,16 +342,10 @@ def _demo_fig3(seed, outdir):
             outdir / "comparison.json"]
 
 
-def cmd_demo(args) -> int:
-    started = time.time()
+def cmd_demo(args):
     outdir = Path(args.outdir) if args.outdir else Path(f"demo_{args.name}")
     builder = {"fig1": _demo_fig1, "fig2": _demo_fig2, "fig3": _demo_fig3}[args.name]
-    outputs = builder(args.seed, outdir)
-    _write_manifest(outdir / "manifest.json", f"demo {args.name}", args,
-                    args.seed, [], outputs, started)
-    if not args.quiet:
-        print(f"wrote demo bundle to {outdir}")
-    return 0
+    return [], builder(args.seed, outdir), f"wrote demo bundle to {outdir}\n"
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -435,10 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        inputs, outputs, text = args.func(args)
+        if outputs:
+            manifest = (outputs[0].parent / "manifest.json" if args.command == "demo"
+                        else f"{outputs[0]}.manifest.json")
+            _write_manifest(manifest, args, inputs, outputs, started)
+        if not (args.quiet and outputs):
+            sys.stdout.write(text)
     except (ValueError, OSError, KeyError, dynsys.GenerationError) as exc:
         return _err(type(exc).__name__, str(exc))
+    return 0
 
 
 if __name__ == "__main__":

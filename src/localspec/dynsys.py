@@ -124,17 +124,22 @@ class CoupledCellSystem:
         return self.alpha.shape[0]
 
 
-def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
-    """Iterate x(k+1) = a @ x(k) for ``steps`` steps starting from ``x0``."""
-    x0 = _state_vector(x0, sys.n)
+def _iterate(step, x0, dim: int, steps: int) -> Trajectory:
+    """States x(0)..x(steps) from ``x0``; ``step(x, out)`` writes x(k+1) from x(k)."""
+    x0 = _state_vector(x0, dim)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    states = np.empty((steps + 1, sys.n))
+    states = np.empty((steps + 1, dim))
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory rejects inf/NaN
         for k in range(steps):
-            states[k + 1] = sys.a @ states[k]
+            step(states[k], states[k + 1])
     return Trajectory(states)
+
+
+def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
+    """Iterate x(k+1) = a @ x(k) for ``steps`` steps starting from ``x0``."""
+    return _iterate(lambda x, out: np.matmul(sys.a, x, out=out), x0, sys.n, steps)
 
 
 def simulate_local(sys: LinearSystem, x0: np.ndarray, steps: int, vertex: int) -> np.ndarray:
@@ -257,20 +262,12 @@ def bipartite_fixture() -> LinearSystem:
 
 def simulate_coupled(sys: CoupledCellSystem, x0: np.ndarray, steps: int) -> Trajectory:
     """Simulate the coupled-cell network; state layout (x_{1,1}, x_{1,2}, x_{2,1}, ...)."""
-    x0 = _state_vector(x0, 2 * sys.d)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    states = np.empty((steps + 1, 2 * sys.d))
-    states[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory rejects inf/NaN
-        for k in range(steps):
-            x1 = states[k, 0::2]
-            x2 = states[k, 1::2]
-            states[k + 1, 0::2] = (
-                sys.alpha * x1 + sys.beta * (x2**3 - x2) + sys.epsilon * (sys.coupling @ x1)
-            )
-            states[k + 1, 1::2] = sys.gamma * x2
-    return Trajectory(states)
+    def step(x, out):
+        x1, x2 = x[0::2], x[1::2]
+        out[0::2] = sys.alpha * x1 + sys.beta * (x2**3 - x2) + sys.epsilon * (sys.coupling @ x1)
+        out[1::2] = sys.gamma * x2
+
+    return _iterate(step, x0, 2 * sys.d, steps)
 
 
 def koopman_lift(sys: CoupledCellSystem) -> LinearSystem:
@@ -281,18 +278,13 @@ def koopman_lift(sys: CoupledCellSystem) -> LinearSystem:
     and the coupling acts on the (x_{i,1}, x_{j,1}) entries. Projecting a
     lifted simulation onto (x1, x2) reproduces the nonlinear trajectory.
     """
-    d = sys.d
-    a = np.zeros((3 * d, 3 * d))
-    for i in range(d):
-        base = 3 * i
-        a[base, base] = sys.alpha[i]
-        a[base, base + 1] = -sys.beta[i]
-        a[base, base + 2] = sys.beta[i]
-        a[base + 1, base + 1] = sys.gamma[i]
-        a[base + 2, base + 2] = sys.gamma[i] ** 3
-        for j in range(d):
-            if sys.coupling[i, j] != 0:
-                a[base, 3 * j] += sys.epsilon * sys.coupling[i, j]
+    a = np.zeros((3 * sys.d, 3 * sys.d))
+    a[0::3, 0::3] = sys.epsilon * sys.coupling + 0.0  # + 0.0: no -0.0 where epsilon < 0
+    c = np.arange(0, 3 * sys.d, 3)  # each cell's x_{i,1}; its x_{i,2}, x_{i,3} follow
+    a[c, c], a[c, c + 1], a[c, c + 2] = sys.alpha, -sys.beta, sys.beta
+    a[c + 1, c + 1] = sys.gamma
+    # float_power rounds as scalar ** does; an array ** may take a SIMD pow that does not
+    a[c + 2, c + 2] = np.float_power(sys.gamma, 3)
     return LinearSystem(a)
 
 

@@ -128,6 +128,82 @@ class TestParser:
         assert [r["vertex"] for r in json.loads(rep.read_text())["reports"]] == [2]
 
 
+@pytest.fixture
+def bipartite_files(tmp_path, monkeypatch, capsys):
+    """Run in ``tmp_path`` beside bip.json (the bipartite fixture) and t.csv (its trajectory)."""
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "bipartite", "--out", "bip.json", "--quiet") == 0
+    assert run("simulate", "bip.json", "--steps", "24", "--x0-seed", "7",
+               "--out", "t.csv", "--quiet") == 0
+    assert capsys.readouterr() == ("", "")
+
+
+# argv, the option naming its output, the output without it, and the summary
+# printed for that output (None: the command prints its JSON report)
+STDOUT_CASES = [
+    (["generate", "bipartite"], "--out", "bipartite.json", "wrote {}\n"),
+    (["simulate", "bip.json", "--steps", "24", "--x0-seed", "7"], "--out", "trajectory.csv",
+     "wrote {} (25 states of dimension 6)\n"),
+    (["localizability", "bip.json", "--vertex", "2"], "--out", None, None),
+    (["analyze", "t.csv", "--vertex", "1"], "--out", None, None),
+    (["cluster", "t.csv", "--k", "2"], "--out", "labels.json",
+     "2 clusters over 6 vertices -> {}\n"),
+    (["demo", "fig1"], "--outdir", "demo_fig1", "wrote demo bundle to {}\n"),
+]
+
+# argv, then the manifest it writes and that manifest's command, seed, inputs, outputs
+MANIFEST_CASES = [
+    (["generate", "bipartite", "--out", "g.json"],
+     "g.json.manifest.json", "generate bipartite", 0, [], ["g.json"]),
+    (["generate", "sbm", "--seed", "4", "--out", "w.json"],
+     "w.json.manifest.json", "generate sbm", 4, [], ["w.json"]),
+    (["simulate", "bip.json", "--steps", "5", "--x0-seed", "7", "--out", "s.csv"],
+     "s.csv.manifest.json", "simulate", 7, ["bip.json"], ["s.csv"]),
+    (["simulate", "bip.json", "--steps", "5", "--x0", "1,2,3,4,5,6", "--out", "s.csv"],
+     "s.csv.manifest.json", "simulate", None, ["bip.json"], ["s.csv"]),
+    (["localizability", "bip.json", "--out", "loc.json"],
+     "loc.json.manifest.json", "localizability", None, ["bip.json"], ["loc.json"]),
+    (["analyze", "t.csv", "--gap", "--out", "rep.json"],
+     "rep.json.manifest.json", "analyze", None, ["t.csv"], ["rep.json"]),
+    (["cluster", "t.csv", "--k", "2", "--out", "lab.json"],
+     "lab.json.manifest.json", "cluster", None, ["t.csv"], ["lab.json", "lab_components.csv"]),
+    (["demo", "fig2", "--seed", "3", "--outdir", "d"],
+     "d/manifest.json", "demo fig2", 3, [], [f"d/{name}" for name in DEMO_PAYLOADS["fig2"]]),
+]
+
+
+class TestEpilogue:
+    """What each command prints, and the manifest beside what it writes."""
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+    @pytest.mark.parametrize("out", [False, True], ids=["default", "out"])
+    @pytest.mark.parametrize("argv, option, default, summary", STDOUT_CASES,
+                             ids=[case[0][0] for case in STDOUT_CASES])
+    def test_stdout(self, bipartite_files, capsys, argv, option, default, summary, out, quiet):
+        if summary is None:  # the report text, as --out writes it
+            assert run(*argv, "--out", "report.json", "--quiet") == 0
+            expected = "" if quiet and out else Path("report.json").read_text()
+        else:
+            expected = "" if quiet else summary.format("given" if out else default)
+        given = [option, "given"] if out else []
+        assert run(*argv, *given, *(["--quiet"] if quiet else [])) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv, path, command, seed, inputs, outputs", MANIFEST_CASES,
+                             ids=[" ".join(case[0][:2]) for case in MANIFEST_CASES])
+    def test_manifest(self, bipartite_files, argv, path, command, seed, inputs, outputs):
+        assert run(*argv, "--quiet") == 0
+        manifest = json.loads(Path(path).read_text())
+        assert (manifest["command"], manifest["seed"]) == (command, seed)
+        assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+
+    def test_a_report_printed_alone_writes_no_manifest(self, bipartite_files, tmp_path):
+        before = set(tmp_path.iterdir())
+        assert run("localizability", "bip.json", "--quiet") == 0
+        assert run("analyze", "t.csv", "--quiet") == 0
+        assert set(tmp_path.iterdir()) == before
+
+
 class TestOptionValues:
     def _trajectory(self, tmp_path):
         sys_file, traj = tmp_path / "bip.json", tmp_path / "t.csv"

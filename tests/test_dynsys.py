@@ -341,6 +341,30 @@ class TestKoopmanLift:
         assert lifted.a[3, 0] == 0.0  # no edge cell 2 <- cell 1
         assert np.all(lifted.a[1::3, 0::3] == 0) and np.all(lifted.a[2::3, 0::3] == 0)
 
+    def test_matches_the_entrywise_lift_bit_for_bit(self):
+        def entrywise_lift(sys):
+            a = np.zeros((3 * sys.d, 3 * sys.d))
+            for i in range(sys.d):
+                b = 3 * i
+                a[b, b], a[b, b + 1], a[b, b + 2] = sys.alpha[i], -sys.beta[i], sys.beta[i]
+                a[b + 1, b + 1] = sys.gamma[i]
+                a[b + 2, b + 2] = sys.gamma[i] ** 3
+                for j in range(sys.d):
+                    if sys.coupling[i, j] != 0:
+                        a[b, 3 * j] += sys.epsilon * sys.coupling[i, j]
+            return a
+
+        # epsilon < 0 times a zero coupling is -0.0; and on CPUs with a SIMD pow, an
+        # array ** 3 rounds one of these gamma**3 apart from the scalar ** 3
+        rng = np.random.default_rng(106)
+        negative = CoupledCellSystem(
+            alpha=rng.uniform(-1, 0, 5), beta=rng.uniform(1, 2, 5), gamma=rng.uniform(-1, 0, 5),
+            coupling=np.triu(rng.choice([0.0, 1.0, -2.0], (5, 5)), 1), epsilon=-0.3,
+        )
+        for sys in [*(coupled_cell_fixture(seed) for seed in range(60)), negative]:
+            # compared as bytes, so the sign of every zero counts
+            assert koopman_lift(sys).a.tobytes() == entrywise_lift(sys).tobytes()
+
     def test_lift_commutes_with_simulation(self):
         sys = coupled_cell_fixture(4)
         rng = np.random.default_rng(9)
