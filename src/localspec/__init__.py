@@ -25,7 +25,6 @@ from .dynsys import (
     normalized_laplacian,
     simulate,
     simulate_coupled,
-    simulate_local,
 )
 from .embedding import (
     CompanionModel,
@@ -97,7 +96,6 @@ __all__ = [
     "recover_hidden_state",
     "simulate",
     "simulate_coupled",
-    "simulate_local",
     "sort_eigenvalues",
     "trace_det",
 ]

@@ -149,9 +149,7 @@ def cmd_simulate(args):
 def _report(args, source, payload):
     """A report command's result: ``payload`` serialized once, written to
     ``--out`` if given, and returned as the stdout text."""
-    text = io.json_text(payload)
-    if args.out:
-        Path(args.out).write_text(text)  # the text exists before the file
+    text = io.write_json(args.out, payload) if args.out else io.json_text(payload)
     return [source], [args.out] if args.out else [], text
 
 
@@ -170,13 +168,12 @@ def cmd_localizability(args):
 
 
 def cmd_analyze(args):
-    states = io.load_trajectory(args.trajectory)
-    n = states.shape[1]
-    dynsys.check_vertex(args.vertex, n)
+    traj = io.load_trajectory(args.trajectory)
+    u = traj.local(args.vertex)
     if args.max_k is not None and not args.gap:
         raise ValueError("--max-k caps the cluster count of --gap; pass --gap with it")
-    s = args.delays if args.delays is not None else n
-    report = spectral.analyze_vertex(states[:, args.vertex - 1], s, vertex=args.vertex,
+    s = args.delays if args.delays is not None else traj.n
+    report = spectral.analyze_vertex(u, s, vertex=args.vertex,
                                      svd_tol=args.tol_rank, distinct_tol=args.tol_distinct)
     payload = report.to_json_dict()
     if args.gap:
@@ -184,18 +181,18 @@ def cmd_analyze(args):
     return _report(args, args.trajectory, payload)
 
 
-def _analyze(states, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
-    """The report of each of ``vertices``, analyzed from its own column of ``states``."""
-    return {v: spectral.analyze_vertex(states[:, v - 1], s, vertex=v, svd_tol=svd_tol,
+def _analyze(traj, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+    """The report of each of ``vertices``, analyzed from its own series in ``traj``."""
+    return {v: spectral.analyze_vertex(traj.local(v), s, vertex=v, svd_tol=svd_tol,
                                        distinct_tol=distinct_tol)
             for v in vertices}
 
 
-def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+def _cluster(traj, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
     """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra
     of :func:`_analyze` over every vertex; ``k="auto"`` takes the consensus count.
     Labels need every vertex's components, so a vertex without them is an error."""
-    reports = _analyze(states, range(1, states.shape[1] + 1), s, svd_tol, distinct_tol)
+    reports = _analyze(traj, range(1, traj.n + 1), s, svd_tol, distinct_tol)
     for v, r in reports.items():
         if r.components is None:
             raise spectral.DegenerateSpectrumError(
@@ -212,13 +209,12 @@ def _cluster(states, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT
 
 
 def cmd_cluster(args):
-    states = io.load_trajectory(args.trajectory)
-    n = states.shape[1]
-    s = args.delays if args.delays is not None else n
+    traj = io.load_trajectory(args.trajectory)
+    s = args.delays if args.delays is not None else traj.n
     k = args.k if args.k == "auto" else _convert("--k", int, args.k, " or 'auto'")
     if k != "auto" and k < 1:
         raise ValueError(f"--k must be at least 1 or 'auto', got {k}")
-    payload, comps, _ = _cluster(states, s, k, args.tol_rank, args.tol_distinct)
+    payload, comps, _ = _cluster(traj, s, k, args.tol_rank, args.tol_distinct)
     labels_out = Path(args.out) if args.out else Path("labels.json")
     io.write_json(labels_out, payload)
     comps_out = Path(args.components_out) if args.components_out else labels_out.with_name(
@@ -232,7 +228,7 @@ def cmd_cluster(args):
         np.array([comps[v] for v in vertices], dtype=complex).view(float),
     )
     return ([args.trajectory], [labels_out, comps_out],
-            f"{payload['cluster_count']} clusters over {n} vertices -> {labels_out}\n")
+            f"{payload['cluster_count']} clusters over {traj.n} vertices -> {labels_out}\n")
 
 
 def _demo_fig1(seed, outdir):
@@ -247,7 +243,7 @@ def _demo_fig1(seed, outdir):
 
     everywhere, _ = localizability.localizable_everywhere(system)
     direct = spectral.sort_eigenvalues(np.linalg.eigvals(system.a))
-    reports = _analyze(traj.states, (1, 3, 5), system.n)
+    reports = _analyze(traj, (1, 3, 5), system.n)
     # vertex 0 marks the direct global spectrum
     spectra = {0: direct, **{v: r.eigenvalues for v, r in reports.items()}}
     lams = np.concatenate(list(spectra.values()))
@@ -290,7 +286,7 @@ def _demo_fig2(seed, outdir):
     traj = dynsys.simulate(system, x0, FIG2_STEPS)
     io.save_trajectory(outdir / "trajectory.csv", traj.states)
 
-    payload, comps, spectra = _cluster(traj.states, n)
+    payload, comps, spectra = _cluster(traj, n)
 
     mu_true = np.sort(np.linalg.eigvalsh(lap))
     mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
@@ -323,7 +319,7 @@ def _demo_fig3(seed, outdir):
         np.max(np.abs(lifted.states[:, 0::3] - traj.states[:, 0::2]))
     )
 
-    u = traj.states[:, 0]  # x_{1,1}
+    u = traj.local(1)  # x_{1,1}
     model = embedding.fit_companion(u[: fit_steps + 1], n_lift)
     localized = embedding.predict(model, u[:n_lift], total + 1 - n_lift)
     io.write_table(outdir / "trajectory.csv", ["k", "x11_nonlinear", "x11_localized"],

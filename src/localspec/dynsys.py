@@ -61,7 +61,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x(0)..x(m) of a simulation, one row per time step."""
+    """States x(0)..x(m), simulated or loaded, one row per time step."""
 
     states: np.ndarray
 
@@ -140,12 +140,6 @@ def _iterate(step, x0, dim: int, steps: int) -> Trajectory:
 def simulate(sys: LinearSystem, x0: np.ndarray, steps: int) -> Trajectory:
     """Iterate x(k+1) = a @ x(k) for ``steps`` steps starting from ``x0``."""
     return _iterate(lambda x, out: np.matmul(sys.a, x, out=out), x0, sys.n, steps)
-
-
-def simulate_local(sys: LinearSystem, x0: np.ndarray, steps: int, vertex: int) -> np.ndarray:
-    """Scalar trajectory observed at one vertex of the full simulation."""
-    check_vertex(vertex, sys.n)
-    return simulate(sys, x0, steps).local(vertex)
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -264,7 +258,8 @@ def simulate_coupled(sys: CoupledCellSystem, x0: np.ndarray, steps: int) -> Traj
     """Simulate the coupled-cell network; state layout (x_{1,1}, x_{1,2}, x_{2,1}, ...)."""
     def step(x, out):
         x1, x2 = x[0::2], x[1::2]
-        out[0::2] = sys.alpha * x1 + sys.beta * (x2**3 - x2) + sys.epsilon * (sys.coupling @ x1)
+        cube = np.float_power(x2, 3)  # rounds as scalar ** does, like koopman_lift's gamma**3
+        out[0::2] = sys.alpha * x1 + sys.beta * (cube - x2) + sys.epsilon * (sys.coupling @ x1)
         out[1::2] = sys.gamma * x2
 
     return _iterate(step, x0, 2 * sys.d, steps)
@@ -294,7 +289,7 @@ def lift_state(sys: CoupledCellSystem, x0: np.ndarray) -> np.ndarray:
     lifted = np.empty(3 * sys.d)
     lifted[0::3] = x0[0::2]
     lifted[1::3] = x0[1::2]
-    lifted[2::3] = x0[1::2] ** 3
+    lifted[2::3] = np.float_power(x0[1::2], 3)
     return lifted
 
 

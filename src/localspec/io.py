@@ -5,7 +5,8 @@ with a trailing newline) or :func:`write_table` (CSV with an integer key
 column). JSON matrix entries and coupled-system fields may be plain doubles
 or exact-rational strings like "3/5"; rationals are parsed via fractions and
 rounded once to the nearest double, so shipped fixtures are unambiguous. CSV
-doubles are printed with 17 significant digits for bit-exact round trips.
+doubles are printed with 17 significant digits for bit-exact round trips, and
+:func:`load_trajectory` reads them back as a :class:`~localspec.dynsys.Trajectory`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynsys import CoupledCellSystem, LinearSystem
+from .dynsys import CoupledCellSystem, LinearSystem, Trajectory
 
 EXAMPLE1_NAMES = ("left", "middle", "right")
 
@@ -91,8 +92,10 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def write_json(path, payload) -> None:
-    Path(path).write_text(json_text(payload))  # the text exists before the file
+def write_json(path, payload) -> str:
+    """Write :func:`json_text` of ``payload`` to ``path``; return that text."""
+    Path(path).write_text(text := json_text(payload))  # the text exists before the file
+    return text
 
 
 def write_table(path, header, keys, values) -> None:
@@ -178,8 +181,8 @@ def save_trajectory(path, states: np.ndarray) -> None:
     write_table(path, header, range(states.shape[0]), states)
 
 
-def load_trajectory(path) -> np.ndarray:
-    """States of a trajectory CSV, one row per time step.
+def load_trajectory(path) -> Trajectory:
+    """The :class:`Trajectory` of a trajectory CSV, one state per time step.
 
     Rejects, naming the 1-based CSV line the row ends on, a row whose value
     count differs from the header's and a value that is not a number, NaN or
@@ -192,7 +195,7 @@ def load_trajectory(path) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         states = _parse_saved_table(fh.read())
-    return _read_trajectory_csv(path) if states is None else states
+    return Trajectory(_read_trajectory_csv(path) if states is None else states)
 
 
 # The bytes below the header of a file save_trajectory writes: integer keys,
@@ -229,7 +232,7 @@ def _parse_saved_table(data: bytes) -> np.ndarray | None:
     states = table[:, 1:]
     if table.shape != (lines, len(header)) or not np.isfinite(states).all():
         return None
-    return np.ascontiguousarray(states)
+    return states
 
 
 def _records(reader):

@@ -38,7 +38,6 @@ from localspec import (
     recover_hidden_state,
     simulate,
     simulate_coupled,
-    simulate_local,
 )
 from localspec._linalg import singular_values
 from localspec.cli import main as cli_main
@@ -102,7 +101,7 @@ def test_04_isospectrality_from_local_data():
     for seed in range(100):
         sys = random_localizable_system(seed)
         x0 = np.random.default_rng(10_000 + seed).standard_normal(sys.n)
-        u = simulate_local(sys, x0, 4 * sys.n, 1)
+        u = simulate(sys, x0, 4 * sys.n).local(1)
         est = local_eigenvalues(fit_companion(u, sys.n))
         worst = max(worst, multiset_distance(est, np.linalg.eigvals(sys.a)))
     elapsed = time.perf_counter() - start
@@ -140,7 +139,7 @@ def test_06_prediction_and_hidden_state():
         sys = random_localizable_system(seed)
         n = sys.n
         x0 = np.random.default_rng(20_000 + seed).standard_normal(n)
-        u = simulate_local(sys, x0, n + 49, 1)
+        u = simulate(sys, x0, n + 49).local(1)
         pred = predict(exact_companion(sys), u[:n], 50)
         worst_pred = max(worst_pred, growth_normalized_error(pred, u))
         v = recover_hidden_state(sys, 1, u[:n])
@@ -271,7 +270,7 @@ def test_09_wave_spectrum_on_unit_circle():
                 if ratio > best_ratio:
                     best_v, best_ratio = v, ratio
             x0 = np.random.default_rng(7000 + i).standard_normal(wave.n)
-            u = simulate_local(wave, x0, 300, best_v)
+            u = simulate(wave, x0, 300).local(best_v)
             est = local_eigenvalues(fit_companion(u, wave.n))
             worst_local = max(worst_local, float(np.max(np.abs(np.abs(est) - 1.0))))
     elapsed = time.perf_counter() - start
@@ -329,7 +328,7 @@ def test_11_eigenvector_components_oracle():
         x0 = rng.standard_normal(n)
         z = np.linalg.solve(xi, x0)
         vertex = int(rng.integers(1, n + 1))
-        u = simulate_local(LinearSystem(a), x0, 4 * n, vertex)
+        u = simulate(LinearSystem(a), x0, 4 * n).local(vertex)
         c = local_eigenvector_components(u, lam)
         worst = max(worst, float(np.max(np.abs(c - z * xi[vertex - 1, :]))))
         checked += 1

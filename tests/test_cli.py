@@ -238,6 +238,12 @@ class TestOptionValues:
         assert err == {"error": f"vertex {vertex} out of range 1..6", "type": "ValueError"}
         assert not (tmp_path / "r.json").exists()
 
+    def test_vertex_checked_before_max_k(self, tmp_path, capsys):
+        traj = self._trajectory(tmp_path)
+        assert run("analyze", traj, "--vertex", "0", "--max-k", "3", "--quiet") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "vertex 0 out of range 1..6", "type": "ValueError"}
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_cluster_count_below_one_rejected(self, tmp_path, capsys, k):
         traj = self._trajectory(tmp_path)
@@ -468,7 +474,7 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
         assert run("simulate", sys_file, "--steps", "5", "--x0", "2.5,-1.0",
                    "--out", out, "--quiet") == 0
-        states = load_trajectory(out)
+        states = load_trajectory(out).states
         assert np.array_equal(states, np.tile([2.5, -1.0], (6, 1)))
 
     def test_lift_matches_nonlinear(self, tmp_path):
@@ -479,8 +485,8 @@ class TestSimulate:
                    "--out", direct, "--quiet") == 0
         assert run("simulate", sys_file, "--steps", "50", "--x0-seed", "9",
                    "--lift", "--out", lifted, "--quiet") == 0
-        nonlinear = load_trajectory(direct)
-        lift = load_trajectory(lifted)
+        nonlinear = load_trajectory(direct).states
+        lift = load_trajectory(lifted).states
         assert lift.shape[1] == 12
         assert np.max(np.abs(lift[:, 0::3] - nonlinear[:, 0::2])) <= 1e-9
         assert np.max(np.abs(lift[:, 1::3] - nonlinear[:, 1::2])) <= 1e-9
@@ -746,9 +752,8 @@ class TestBipartiteMatchingWhereReported:
         w = generate_sbm([4, 4, 4], 0.9, 0.1, 1.0, 0.2, seed=0)
         assert is_strongly_connected(w)
         a = np.eye(12) - 0.5 * normalized_laplacian(w)
-        states = simulate(LinearSystem(a), np.random.default_rng(0).standard_normal(12),
-                          120).states
-        payload, comps, _ = _cluster(states, 12, 3)
+        traj = simulate(LinearSystem(a), np.random.default_rng(0).standard_normal(12), 120)
+        payload, comps, _ = _cluster(traj, 12, 3)
         assert [e["cluster"] for e in payload["labels"]] == [0] * 4 + [1] * 4 + [2] * 4
         assert sorted(comps) == list(range(1, 13))
 

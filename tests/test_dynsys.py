@@ -21,7 +21,6 @@ from localspec import (
     normalized_laplacian,
     simulate,
     simulate_coupled,
-    simulate_local,
 )
 from localspec.dynsys import _BIPARTITE_EDGES
 
@@ -85,20 +84,22 @@ class TestSimulate:
 
 
 class TestSimulateLocal:
+    """One vertex's series of a simulation, read through Trajectory.local."""
+
     def test_is_projection_of_full_simulation(self):
         sys = random_system(0, n=5)
         x0 = np.random.default_rng(1).standard_normal(5)
         full = simulate(sys, x0, 10)
         for v in range(1, 6):
-            assert np.array_equal(simulate_local(sys, x0, 10, v), full.states[:, v - 1])
+            assert np.array_equal(simulate(sys, x0, 10).local(v), full.states[:, v - 1])
 
     def test_diagonal_growth(self):
-        u = simulate_local(LinearSystem(np.diag([2.0, 3.0])), [1.0, 1.0], 3, vertex=2)
+        u = simulate(LinearSystem(np.diag([2.0, 3.0])), [1.0, 1.0], 3).local(2)
         assert np.array_equal(u, [1.0, 3.0, 9.0, 27.0])
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(ValueError):
-            simulate_local(LinearSystem(np.eye(2)), [1.0, 1.0], 2, vertex=3)
+        with pytest.raises(ValueError, match=r"vertex 3 out of range 1\.\.2"):
+            simulate(LinearSystem(np.eye(2)), [1.0, 1.0], 2).local(3)
 
 
 class TestNormalizedLaplacian:
@@ -364,6 +365,27 @@ class TestKoopmanLift:
         for sys in [*(coupled_cell_fixture(seed) for seed in range(60)), negative]:
             # compared as bytes, so the sign of every zero counts
             assert koopman_lift(sys).a.tobytes() == entrywise_lift(sys).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_cubes_round_as_scalar_power(self, stride):
+        # an array ** 3 may take a SIMD pow that rounds some cubes one ulp
+        # apart from scalar ** 3, which is how the lift's gamma**3 rounds
+        def scalar_cubes(x):
+            return np.array([v**3 for v in x.tolist()])
+
+        rng = np.random.default_rng(0)
+        sys = CoupledCellSystem(alpha=rng.uniform(-1, 0, 500), beta=rng.uniform(1, 2, 500),
+                                gamma=rng.uniform(-1, 0, 500),
+                                coupling=np.roll(np.eye(500), 1, axis=1), epsilon=0.1)
+        draws = rng.standard_normal((100, 1000 * stride))[:, ::stride]
+        for x0 in draws:
+            assert lift_state(sys, x0)[2::3].tobytes() == scalar_cubes(x0[1::2]).tobytes()
+        states = simulate_coupled(sys, draws[0], 20).states
+        for x, nxt in zip(states[:-1], states[1:]):
+            x1, x2 = x[0::2], x[1::2]
+            expected = (sys.alpha * x1 + sys.beta * (scalar_cubes(x2) - x2)
+                        + sys.epsilon * (sys.coupling @ x1))
+            assert nxt[0::2].tobytes() == expected.tobytes()
 
     def test_lift_commutes_with_simulation(self):
         sys = coupled_cell_fixture(4)

@@ -17,7 +17,7 @@ from localspec import (
     local_eigenvalues,
     predict,
     recover_hidden_state,
-    simulate_local,
+    simulate,
 )
 from localspec._linalg import DEFAULT_RANK_TOL, singular_values
 from localspec.io import example1_system
@@ -69,7 +69,7 @@ class TestFitCompanion:
         for seed in range(25):
             sys = random_localizable_system(seed)
             x0 = np.random.default_rng(100 + seed).standard_normal(sys.n)
-            u = simulate_local(sys, x0, 4 * sys.n, 1)
+            u = simulate(sys, x0, 4 * sys.n).local(1)
             fitted = fit_companion(u, sys.n)
             exact = exact_companion(sys)
             assert np.max(np.abs(fitted.weights - exact.weights)) <= 1e-6
@@ -83,7 +83,7 @@ class TestFitCompanion:
 
     def test_rank_and_sigma_ratio_of_the_row_scaled_design(self):
         sys = random_localizable_system(2, n=5)
-        u = simulate_local(sys, np.random.default_rng(2).standard_normal(5), 40, 1)
+        u = simulate(sys, np.random.default_rng(2).standard_normal(5), 40).local(1)
         windows = delay_windows(np.asarray(u) / np.max(np.abs(u)), 6)
         sigma = singular_values(windows[:, :5] / np.max(np.abs(windows), axis=1)[:, None])
         fitted = fit_companion(u, 5)
@@ -96,7 +96,7 @@ class TestFitCompanion:
         assert exact["rank"] is None and exact["sigma_ratio"] is None
 
     def test_scale_recorded_and_weights_invariant(self):
-        u = simulate_local(random_localizable_system(3, n=4), [1.0, -2.0, 0.5, 0.3], 16, 1)
+        u = simulate(random_localizable_system(3, n=4), [1.0, -2.0, 0.5, 0.3], 16).local(1)
         big = fit_companion(1e6 * np.asarray(u), 4)
         small = fit_companion(np.asarray(u), 4)
         assert np.allclose(big.weights, small.weights, atol=1e-9)
@@ -109,7 +109,7 @@ class TestFitCompanion:
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
     def test_rank_tolerance_must_be_finite_and_positive(self, bad):
         # NaN would cut every singular value and return all-zero weights
-        u = simulate_local(bipartite_fixture(), np.arange(1.0, 7.0), 24, 1)
+        u = simulate(bipartite_fixture(), np.arange(1.0, 7.0), 24).local(1)
         with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
             fit_companion(u, 6, svd_tol=bad)
 
@@ -125,7 +125,7 @@ class TestFitCompanion:
         # the fixture's largest modes grow, so without row equilibration the
         # late rows dominate the rank cut and the error was 1.06 at 60 steps
         sys = bipartite_fixture()
-        u = simulate_local(sys, np.random.default_rng(7).standard_normal(6), steps, 1)
+        u = simulate(sys, np.random.default_rng(7).standard_normal(6), steps).local(1)
         est = local_eigenvalues(fit_companion(u, 6))
         dist = np.abs(est[:, None] - np.linalg.eigvals(sys.a)[None, :])
         rows, cols = linear_sum_assignment(dist)
@@ -178,7 +178,7 @@ class TestPredict:
         for seed in range(20):
             sys = random_localizable_system(seed)
             x0 = np.random.default_rng(200 + seed).standard_normal(sys.n)
-            u = simulate_local(sys, x0, sys.n + 49, 1)
+            u = simulate(sys, x0, sys.n + 49).local(1)
             model = exact_companion(sys)
             pred = predict(model, u[: sys.n], 50)
             assert growth_normalized_error(pred, u) <= 1e-6
@@ -202,7 +202,7 @@ class TestRecoverHiddenState:
         a = np.array([[0.3, 0.7], [0.2, 0.5]])
         sys = LinearSystem(a)
         x0 = np.array([1.0, -2.0])
-        u = simulate_local(sys, x0, 2, 1)
+        u = simulate(sys, x0, 2).local(1)
         v = recover_hidden_state(sys, 1, u[:2])
         assert v[0] == pytest.approx((u[1] - 0.3 * u[0]) / 0.7, abs=1e-12)
         assert v[0] == pytest.approx(-2.0, abs=1e-12)
@@ -211,7 +211,7 @@ class TestRecoverHiddenState:
         for seed in range(20):
             sys = random_localizable_system(seed, n=4)
             x0 = np.random.default_rng(300 + seed).standard_normal(4)
-            u = simulate_local(sys, x0, 4, 1)
+            u = simulate(sys, x0, 4).local(1)
             v = recover_hidden_state(sys, 1, u[:4])
             rel = np.max(np.abs(v - x0[1:])) / max(np.max(np.abs(x0[1:])), 1e-30)
             assert rel <= 1e-8
@@ -220,12 +220,12 @@ class TestRecoverHiddenState:
         sys = random_localizable_system(7, n=5)
         # vertex 3: hidden components are (x1, x2, x4, x5) in original order
         x0 = np.random.default_rng(11).standard_normal(5)
-        u = simulate_local(sys, x0, 5, 1)
+        u = simulate(sys, x0, 5).local(1)
         # probe a vertex where the permuted system is localizable
         for vertex in range(1, 6):
             if not is_localizable(sys, vertex).localizable:
                 continue
-            window = simulate_local(sys, x0, 5, vertex)[:5]
+            window = simulate(sys, x0, 5).local(vertex)[:5]
             v = recover_hidden_state(sys, vertex, window)
             hidden_true = np.delete(x0, vertex - 1)
             assert np.allclose(v, hidden_true, atol=1e-7)
@@ -267,7 +267,7 @@ class TestRecoverHiddenState:
             sys = random_localizable_system(seed)
             n = sys.n
             x0 = np.random.default_rng(400 + seed).standard_normal(n)
-            u = simulate_local(sys, x0, n + 1, 1)
+            u = simulate(sys, x0, n + 1).local(1)
             v = recover_hidden_state(sys, 1, u[:n])
             state = np.concatenate([[u[0]], v])
             for _ in range(n):  # vertex 1 is already first

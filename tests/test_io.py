@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from localspec import CoupledCellSystem, LinearSystem, coupled_cell_fixture, generate_sbm
+from localspec import (CoupledCellSystem, LinearSystem, Trajectory, coupled_cell_fixture,
+                       generate_sbm, io)
 from localspec.io import (
     EXAMPLE1_NAMES,
     example1_path,
@@ -261,14 +262,14 @@ class TestTrajectoryCsv:
         save_trajectory(path, states)
         header = path.read_text().splitlines()[0]
         assert header == "k,x1,x2,x3"
-        assert np.array_equal(load_trajectory(path), states)
+        assert np.array_equal(load_trajectory(path).states, states)
 
     def test_seventeen_digit_fidelity(self, tmp_path):
         # values with no short decimal representation survive bit-exactly
         states = np.array([[np.pi, 1.0 / 3.0], [np.e, 2.0 / 7.0]])
         path = tmp_path / "traj.csv"
         save_trajectory(path, states)
-        assert np.array_equal(load_trajectory(path), states)
+        assert np.array_equal(load_trajectory(path).states, states)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -331,6 +332,26 @@ class TestTrajectoryCsv:
         path.write_text(f"k,x1,x2\n0,1.0,2.0\n1,3.0,{value}\n2,{value},6.0\n")
         with pytest.raises(ValueError, match=f"line 3 holds {what}"):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["saved", "quoted"])
+    def test_loads_a_read_only_trajectory_on_both_parser_paths(self, tmp_path, monkeypatch,
+                                                               quoted):
+        # numpy's reader parses a saved file; quoted numbers only the csv reader accepts
+        states = np.array([[np.pi, -1.0 / 3.0, 2.5], [np.e, 0.0, -7e-300]])
+        path = tmp_path / "traj.csv"
+        save_trajectory(path, states)
+        if quoted:
+            path.write_text(re.sub(r",([^,\n]+)", r',"\1"', path.read_text()))
+        read_by_csv, csv_reader = [], io._read_trajectory_csv
+        monkeypatch.setattr(io, "_read_trajectory_csv",
+                            lambda p: read_by_csv.append(p) or csv_reader(p))
+        traj = load_trajectory(path)
+        assert read_by_csv == ([path] if quoted else [])
+        assert isinstance(traj, Trajectory)
+        assert not traj.states.flags.writeable
+        assert traj.states.view(np.int64).tobytes() == states.view(np.int64).tobytes()
+        for v in range(1, 4):
+            assert traj.local(v).tobytes() == states[:, v - 1].tobytes()
 
 
 def _oracle_table(path, header, keys, values):
@@ -396,7 +417,7 @@ class TestWriteTable:
     def test_trajectory_round_trip_is_bit_exact(self, tmp_path, states):
         path = tmp_path / "traj.csv"
         save_trajectory(path, states)
-        assert np.array_equal(load_trajectory(path).view(np.int64), states.view(np.int64))
+        assert np.array_equal(load_trajectory(path).states.view(np.int64), states.view(np.int64))
 
 
 def _oracle_load_trajectory(path) -> np.ndarray:
@@ -441,7 +462,8 @@ def _load_outcome(load, path):
 
 
 def _assert_loads_as_the_oracle(path):
-    assert _load_outcome(load_trajectory, path) == _load_outcome(_oracle_load_trajectory, path)
+    loaded = _load_outcome(lambda p: load_trajectory(p).states, path)
+    assert loaded == _load_outcome(_oracle_load_trajectory, path)
 
 
 # The characters of trajectory files and of their usual faults, and control
@@ -493,7 +515,7 @@ class TestTrajectoryLoaderMatchesTheCsvReader:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 load_trajectory(path)
         else:
-            assert np.array_equal(load_trajectory(path), expected)
+            assert np.array_equal(load_trajectory(path).states, expected)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -532,7 +554,7 @@ class TestTrajectoryLoaderMatchesTheCsvReader:
         monkeypatch.setattr("localspec.io._read_trajectory_csv", fail)
         path = tmp_path / "t.csv"
         save_trajectory(path, states)
-        loaded = load_trajectory(path)
+        loaded = load_trajectory(path).states
         assert loaded.flags.c_contiguous
         assert np.array_equal(loaded.view(np.int64), states.view(np.int64))
 
@@ -544,3 +566,9 @@ class TestWriteJson:
         with pytest.raises(ValueError):
             write_json(path, {"singular_values": [1.0, float(bad)]})
         assert not path.exists()
+
+    def test_returns_the_text_it_wrote(self, tmp_path):
+        path = tmp_path / "report.json"
+        payload = {"eigenvalues": [0.5, -1.0 / 3.0], "localizable": True}
+        text = write_json(path, payload)
+        assert text == path.read_text() == json.dumps(payload, indent=2) + "\n"

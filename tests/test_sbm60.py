@@ -20,12 +20,12 @@ PLANTED = np.repeat(np.arange(len(SIZES)), SIZES)
 
 
 def sbm_draw(draw):
-    """Adjacency and states x(0..10n) of one SBM draw."""
+    """Adjacency and trajectory x(0..10n) of one SBM draw."""
     w = dynsys.generate_sbm(SIZES, 0.7, 0.05, 1.0, 0.2, seed=draw)
     n = w.shape[0]
     system = LinearSystem(np.eye(n) - 0.5 * dynsys.normalized_laplacian(w))
     x0 = np.random.default_rng(draw).standard_normal(n)
-    return w, dynsys.simulate(system, x0, 10 * n).states
+    return w, dynsys.simulate(system, x0, 10 * n)
 
 
 def fit_companion_oracle(
@@ -64,9 +64,9 @@ def fit_companion_oracle(
 
 @pytest.mark.parametrize("draw", [0, 1, 2, 4, 5])
 def test_cluster_recovers_the_blocks_and_the_unit_mode(draw):
-    w, states = sbm_draw(draw)
+    w, traj = sbm_draw(draw)
     n = w.shape[0]
-    payload, comps, _ = cli._cluster(states, n, 3)
+    payload, comps, _ = cli._cluster(traj, n, 3)
     labels = [entry["cluster"] for entry in payload["labels"]]
     assert labels == PLANTED.tolist()
     c1 = np.array([comps[v][0] for v in range(1, n + 1)])
@@ -75,10 +75,10 @@ def test_cluster_recovers_the_blocks_and_the_unit_mode(draw):
 
 
 def test_companion_fit_bit_identical_to_the_oracle_on_draw_0():
-    w, states = sbm_draw(0)
+    w, traj = sbm_draw(0)
     n = w.shape[0]
-    for v in range(n):
-        model, ref = fit_companion(states[:, v], n), fit_companion_oracle(states[:, v], n)
+    for v in range(1, n + 1):
+        model, ref = fit_companion(traj.local(v), n), fit_companion_oracle(traj.local(v), n)
         assert model.rank < n  # the fit stays on the SVD path
         assert np.array_equal(model.weights, ref.weights), v
         assert (model.residual, model.scale) == (ref.residual, ref.scale), v

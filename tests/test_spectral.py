@@ -29,7 +29,6 @@ from localspec import (
     normalized_laplacian,
     r_matrix,
     simulate,
-    simulate_local,
     sort_eigenvalues,
     trace_det,
 )
@@ -162,7 +161,7 @@ class TestEigenvectorComponents:
             x0 = rng.standard_normal(n)
             z = np.linalg.solve(xi, x0)
             vertex = int(rng.integers(1, n + 1))
-            u = simulate_local(LinearSystem(a), x0, 4 * n, vertex)
+            u = simulate(LinearSystem(a), x0, 4 * n).local(vertex)
             c = local_eigenvector_components(u, lam)
             assert np.max(np.abs(c - z * xi[vertex - 1, :])) <= 1e-7
 
@@ -173,7 +172,7 @@ class TestEigenvectorComponents:
     def test_conjugate_symmetry_for_real_data(self):
         sys = random_localizable_system(8, n=6)
         x0 = np.random.default_rng(2).standard_normal(6)
-        u = simulate_local(sys, x0, 24, 1)
+        u = simulate(sys, x0, 24).local(1)
         eigs = local_eigenvalues(fit_companion(u, 6))
         c = local_eigenvector_components(u, eigs)
         assert np.any(eigs.imag != 0.0) and np.any(eigs.imag == 0.0)
@@ -217,7 +216,7 @@ class TestEigenvectorComponents:
         for seed in range(10):
             sys = random_localizable_system(seed, n=5)
             x0 = np.random.default_rng(500 + seed).standard_normal(5)
-            u = simulate_local(sys, x0, 20, 1)
+            u = simulate(sys, x0, 20).local(1)
             eigs = local_eigenvalues(exact_companion(sys))
             if np.min(
                 np.abs(eigs[:, None] - eigs[None, :]) + np.eye(5)
@@ -424,7 +423,7 @@ class TestAnalyzeVertex:
     def test_coinciding_eigenvalues_leave_components_unset(self):
         # the directed path 1 -> 2 -> 3 -> 4 is nilpotent: four zero eigenvalues
         path = LinearSystem(np.eye(4, k=-1))
-        u = simulate_local(path, [1.0, 2.0, 3.0, 4.0], 20, 4)
+        u = simulate(path, [1.0, 2.0, 3.0, 4.0], 20).local(4)
         report = analyze_vertex(u, 4, vertex=4)
         assert np.array_equal(report.eigenvalues, np.zeros(4))
         assert report.bipartite is True
@@ -442,7 +441,7 @@ class TestAnalyzeVertex:
     def test_bipartite_fixture_flag(self):
         fix = bipartite_fixture()
         x0 = np.random.default_rng(42).standard_normal(6)
-        u = simulate_local(fix, x0, 24, 1)
+        u = simulate(fix, x0, 24).local(1)
         report = analyze_vertex(u, 6, vertex=1)
         assert report.bipartite is True
         assert multiset_distance(report.eigenvalues, np.linalg.eigvals(fix.a)) <= 1e-6
@@ -457,7 +456,7 @@ class TestAnalyzeVertex:
             key=lambda v: (lambda s: s[-1] / s[0])(singular_values(r_matrix(wave, v))),
         )
         x0 = np.random.default_rng(6).standard_normal(wave.n)
-        u = simulate_local(wave, x0, 500, best_v)
+        u = simulate(wave, x0, 500).local(best_v)
         report = analyze_vertex(u, wave.n, vertex=best_v)
         assert np.max(np.abs(np.abs(report.eigenvalues) - 1.0)) <= 1e-6
 
@@ -484,7 +483,7 @@ class TestIsospectralityProperties:
         for seed in range(30):
             sys = random_localizable_system(seed)
             x0 = np.random.default_rng(600 + seed).standard_normal(sys.n)
-            u = simulate_local(sys, x0, 4 * sys.n, 1)
+            u = simulate(sys, x0, 4 * sys.n).local(1)
             est = local_eigenvalues(fit_companion(u, sys.n))
             assert multiset_distance(est, np.linalg.eigvals(sys.a)) <= 1e-6
 
@@ -498,7 +497,7 @@ class TestIsospectralityProperties:
             x0 = np.random.default_rng(700 + seed).standard_normal(5)
             estimates = []
             for v in vertices[:2]:
-                u = simulate_local(sys, x0, 20, v)
+                u = simulate(sys, x0, 20).local(v)
                 estimates.append(local_eigenvalues(fit_companion(u, 5)))
             assert multiset_distance(estimates[0], estimates[1]) <= 1e-6
 
@@ -506,6 +505,6 @@ class TestIsospectralityProperties:
         for seed in range(10):
             sys = random_localizable_system(seed)
             x0 = np.random.default_rng(800 + seed).standard_normal(sys.n)
-            u = simulate_local(sys, x0, 4 * sys.n, 1)
+            u = simulate(sys, x0, 4 * sys.n).local(1)
             eigs = local_eigenvalues(fit_companion(u, sys.n))
             assert multiset_distance(eigs, np.conj(eigs)) <= 1e-8
