@@ -6,10 +6,12 @@ one; the localizability staircase cuts its own step ratios at the same
 rank tolerance. Every tolerance passes :func:`check_tol`, and every
 default tolerance of the package is defined here, once.
 
-Every least-squares fit goes through :func:`lstsq_min_norm`, which takes
-the augmented matrix ``[a | b]`` in one buffer, cuts the rank on the
+Every least-squares fit of data goes through :func:`lstsq_min_norm`, which
+takes the augmented matrix ``[a | b]`` in one buffer, cuts the rank on the
 singular values of its QR triangle, solves a full-rank square triangle by
-substitution and takes the truncated SVD of any other.
+substitution and takes the truncated SVD of any other. (The one other
+solve, the matrix pencil's shift on an orthonormal basis, has r right-hand
+sides and no rank to cut.)
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, float]:
+def lstsq_min_norm(ab: np.ndarray, rel_tol: float, *, basis: bool = False) -> tuple:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` from ``ab = [a | b]``.
 
     ``b`` is the last column; real and complex data of any shape work.
@@ -74,6 +76,11 @@ def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, flo
     solution, and at rank 0 its empty products give the zero solution.
     Since sigma_min <= min |t_ii| and sigma_max >= max |t_ii| for a
     triangle, a diagonal that fails the cut goes to the SVD directly.
+
+    With ``basis`` the result gains a fourth entry: the leading ``rank``
+    right singular vectors of ``a`` as rows, which span its numeric row
+    space, from the SVD of T; it is None when substitution solved T, which
+    computes no vectors.
     """
     check_tol(rel_tol, "rank")
     ab = np.asarray(ab)
@@ -86,8 +93,10 @@ def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, flo
             s = np.linalg.svd(t, compute_uv=False)
             rank = numeric_rank(s, rel_tol)
             if rank == n:
-                return np.linalg.solve(t, c), rank, float(s[-1] / s[0])
+                fit = np.linalg.solve(t, c), rank, float(s[-1] / s[0])
+                return (*fit, None) if basis else fit
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
     x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
-    return x, rank, float(s[-1] / s[0]) if s.size == n > 0 and s[0] else 0.0
+    fit = x, rank, float(s[-1] / s[0]) if s.size == n > 0 and s[0] else 0.0
+    return (*fit, vh[:rank]) if basis else fit

@@ -177,7 +177,8 @@ def cmd_analyze(args):
                                      svd_tol=args.tol_rank, distinct_tol=args.tol_distinct)
     payload = report.to_json_dict()
     if args.gap:
-        payload["cluster_count"] = spectral.detect_cluster_count(report.eigenvalues, args.max_k)
+        max_k = (s + 1) // 2 if args.max_k is None else args.max_k
+        payload["cluster_count"] = spectral.detect_cluster_count(report.eigenvalues, max_k)
     return _report(args, args.trajectory, payload)
 
 
@@ -189,9 +190,14 @@ def _analyze(traj, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_D
 
 
 def _cluster(traj, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
-    """The ``{"cluster_count", "labels"}`` payload, per-vertex components and spectra
-    of :func:`_analyze` over every vertex; ``k="auto"`` takes the consensus count.
-    Labels need every vertex's components, so a vertex without them is an error."""
+    """The ``{"cluster_count", "labels"}`` payload, and the per-vertex components and
+    leading real parts of :func:`_analyze` over every vertex.
+
+    A vertex below full rank identifies only some modes, so the leading real
+    parts are each vertex's largest ones, as many as every vertex identified
+    (all s at full rank). ``k="auto"`` takes the :func:`consensus_cluster_count`
+    of those, capped at half of s as in ``analyze --gap``. Labels need every
+    vertex's components, so a vertex without them is an error."""
     reports = _analyze(traj, range(1, traj.n + 1), s, svd_tol, distinct_tol)
     for v, r in reports.items():
         if r.components is None:
@@ -199,13 +205,14 @@ def _cluster(traj, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_D
                 f"vertex {v} has no eigenvector components: two of its estimated "
                 f"eigenvalues coincide within {distinct_tol:g}")
     comps = {v: r.components for v, r in reports.items()}
-    spectra = {v: r.eigenvalues for v, r in reports.items()}
+    common = min(r.eigenvalues.size for r in reports.values())
+    leading = {v: np.sort(r.eigenvalues.real)[::-1][:common] for v, r in reports.items()}
     if k == "auto":
-        k = spectral.consensus_cluster_count(spectra)
+        k = spectral.consensus_cluster_count(leading, (s + 1) // 2)
     labels = spectral.decentralized_cluster_labels(comps, k)
     payload = {"cluster_count": k,
                "labels": [{"vertex": v, "cluster": c} for v, c in sorted(labels.items())]}
-    return payload, comps, spectra
+    return payload, comps, leading
 
 
 def cmd_cluster(args):
@@ -221,11 +228,12 @@ def cmd_cluster(args):
         labels_out.stem + "_components.csv"
     )
     vertices = sorted(comps)
-    io.write_table(  # complex components as interleaved re, im columns
+    io.write_table(  # complex components as interleaved re, im columns, s modes wide
         comps_out,
         ["vertex"] + [f"c{l}_{part}" for l in range(1, s + 1) for part in ("re", "im")],
         vertices,
-        np.array([comps[v] for v in vertices], dtype=complex).view(float),
+        np.array([np.pad(comps[v], (0, s - comps[v].size)) for v in vertices],
+                 dtype=complex).view(float),
     )
     return ([args.trajectory], [labels_out, comps_out],
             f"{payload['cluster_count']} clusters over {traj.n} vertices -> {labels_out}\n")
@@ -286,12 +294,13 @@ def _demo_fig2(seed, outdir):
     traj = dynsys.simulate(system, x0, FIG2_STEPS)
     io.save_trajectory(outdir / "trajectory.csv", traj.states)
 
-    payload, comps, spectra = _cluster(traj, n)
+    payload, comps, leading = _cluster(traj, n)
 
-    mu_true = np.sort(np.linalg.eigvalsh(lap))
-    mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
+    # only the modes that every vertex identified
+    mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(leading)))
+    mu_true = np.sort(np.linalg.eigvalsh(lap))[: mu_estimated.size]
     io.write_table(outdir / "laplacian_spectrum.csv", ["index", "mu_true", "mu_estimated"],
-                   range(1, n + 1), np.column_stack([mu_true, mu_estimated]))
+                   range(1, mu_estimated.size + 1), np.column_stack([mu_true, mu_estimated]))
     vertices = sorted(comps)
     io.write_table(outdir / "components.csv", ["vertex", "c2_re", "c3_re"], vertices,
                    [comps[v][1:3].real for v in vertices])

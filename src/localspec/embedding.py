@@ -8,7 +8,7 @@ fixed shift structure, so only the weights are ever estimated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,10 @@ class CompanionModel:
     ``sigma_ratio`` are the numeric rank of the fit's row-scaled design and
     its smallest over its largest singular value, which say how well the
     data determine the weights; both are None for weights that were not
-    fitted.
+    fitted. Below full rank, ``basis`` holds the design's leading ``rank``
+    right singular vectors as rows: they span the delay vectors
+    (1, lam, ..., lam^(s-1)) of the modes the data identify. It is None at
+    full rank, at rank 0 and for weights that were not fitted.
     """
 
     s: int
@@ -35,6 +38,7 @@ class CompanionModel:
     scale: float = 1.0
     rank: int | None = None
     sigma_ratio: float | None = None
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
@@ -93,7 +97,9 @@ def fit_companion(
     scaling. Each row of [design | target] is then divided by its own
     max-abs: the rows are exact linear relations, so the exact solution is
     unchanged, but the largest rows of a growing or decaying series no
-    longer decide the rank cut alone. ``residual`` is in data units.
+    longer decide the rank cut alone. ``residual`` is in data units. The
+    solve's singular basis is kept below full rank (:class:`CompanionModel`),
+    so the modes are read without factoring the design again.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if s < 1:
@@ -104,10 +110,12 @@ def fit_companion(
     windows = np.asfortranarray(delay_windows(u / scale, s + 1))  # [design | target]
     rows = np.max(np.abs(windows), axis=1)
     rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
-    weights, rank, sigma_ratio = lstsq_min_norm(windows / rows[:, None], svd_tol)
+    weights, rank, sigma_ratio, basis = lstsq_min_norm(windows / rows[:, None], svd_tol,
+                                                       basis=True)
     residual = float(np.linalg.norm(windows[:, :s] @ weights - windows[:, s])) * scale
     return CompanionModel(s=s, weights=weights, residual=residual, scale=scale,
-                          rank=rank, sigma_ratio=sigma_ratio)
+                          rank=rank, sigma_ratio=sigma_ratio,
+                          basis=basis if 0 < rank < s else None)
 
 
 def exact_companion(sys: LinearSystem) -> CompanionModel:

@@ -4,7 +4,8 @@ The companion weights estimated locally carry the full characteristic
 polynomial of the network, so each vertex can compute eigenvalues, its own
 eigenvector components (up to the shared mode amplitudes), bipartiteness of
 the dependency graph, and a cluster assignment, all without seeing any other
-vertex's data.
+vertex's data. When the data determine only r < s of the weights, the vertex
+reads the r modes they do determine from the fit's singular basis instead.
 """
 
 from __future__ import annotations
@@ -31,16 +32,24 @@ class SpectralReport:
     vertices because they observe the same trajectory, so sign patterns are
     globally consistent without any coordination. ``components`` is None
     when the estimated eigenvalues coincide, since the data then do not
-    determine them. :attr:`bipartite` matches the spectrum against its
-    negation only when read; in the JSON form, ``analyze --gap`` fills in the
-    gap count, and the labels stay null (``cluster`` writes its own file).
+    determine them. ``s`` is the embedding length, and ``rank`` and
+    ``sigma_ratio`` are the companion fit's (:class:`CompanionModel`): at
+    ``rank`` = s there are s eigenvalues and the trace and determinant are
+    A's, while below it there are ``rank`` eigenvalues, those of the modes
+    the data identify, and the trace and determinant are None.
+    :attr:`bipartite` matches the spectrum against its negation only when
+    read; in the JSON form, ``analyze --gap`` fills in the gap count, and the
+    labels stay null (``cluster`` writes its own file).
     """
 
     eigenvalues: np.ndarray
     vertex: int
     components: np.ndarray | None
-    trace_estimate: float
-    det_estimate: float
+    trace_estimate: float | None
+    det_estimate: float | None
+    s: int
+    rank: int
+    sigma_ratio: float
 
     @property
     def bipartite(self) -> bool:
@@ -51,24 +60,36 @@ class SpectralReport:
         def cplx(values):
             return [{"re": float(v.real), "im": float(v.imag)} for v in values]
 
+        def real(value):
+            return None if value is None else float(value)
+
         return {
             "eigenvalues": cplx(self.eigenvalues),
             "vertex_components": (
                 {} if self.components is None else {str(self.vertex): cplx(self.components)}
             ),
-            "trace_estimate": float(self.trace_estimate),
-            "det_estimate": float(self.det_estimate),
+            "trace_estimate": real(self.trace_estimate),
+            "det_estimate": real(self.det_estimate),
             "bipartite": self.bipartite,
             "cluster_count": None,
             "labels": None,
+            "s": self.s,
+            "rank": self.rank,
+            "sigma_ratio": self.sigma_ratio,
         }
 
 
 def sort_eigenvalues(eigs: np.ndarray) -> np.ndarray:
-    """Deterministic order: descending modulus, ties by ascending argument."""
+    """Deterministic order: descending modulus, ties by ascending argument.
+
+    Moduli within ``DEFAULT_DISTINCT_TOL`` of the next larger one tie, so the
+    two members of an estimated +-lam pair, whose moduli differ only in the
+    last bits, come in one order (+lam first) whatever the rounding.
+    """
     eigs = np.asarray(eigs, dtype=complex)
-    order = np.lexsort((np.angle(eigs), -np.abs(eigs)))
-    return eigs[order]
+    eigs = eigs[np.argsort(-np.abs(eigs), kind="stable")]
+    tier = np.cumsum(-np.diff(np.abs(eigs), prepend=np.inf) > DEFAULT_DISTINCT_TOL)
+    return eigs[np.lexsort((np.angle(eigs), tier))]
 
 
 def local_eigenvalues(model: CompanionModel) -> np.ndarray:
@@ -78,6 +99,20 @@ def local_eigenvalues(model: CompanionModel) -> np.ndarray:
     monomial coefficients.
     """
     return sort_eigenvalues(np.linalg.eigvals(model.companion_matrix()))
+
+
+def pencil_eigenvalues(model: CompanionModel) -> np.ndarray:
+    """Eigenvalues of the modes a rank-deficient fit identifies, in canonical order.
+
+    The rows of ``model.basis`` span the delay vectors (1, lam, ..., lam^(s-1))
+    of the r identified modes, and a shift by one delay maps that span into
+    itself. So with V the basis as columns, the r x r least-squares solution
+    X of V[:-1] X = V[1:] is similar to diag(lam), and its eigenvalues are the
+    modes' (the matrix pencil of Kung 1978 and Hua & Sarkar 1990).
+    """
+    v = model.basis.T
+    shift = np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0]
+    return sort_eigenvalues(np.linalg.eigvals(shift))
 
 
 def trace_det(model: CompanionModel) -> tuple[float, float]:
@@ -266,14 +301,23 @@ def analyze_vertex(
 ) -> SpectralReport:
     """Local pipeline: fit, eigenvalues, trace and determinant, and components.
 
+    The fit's numeric rank r decides the eigenvalues. Below full rank
+    (0 < r < s) the data determine r modes, and the vertex reports the r
+    :func:`pencil_eigenvalues`, with no trace or determinant; otherwise it
+    reports the s :func:`local_eigenvalues` and :func:`trace_det`. The
+    components are fitted on those eigenvalues.
+
     ``vertex`` only labels the report; the analysis itself never sees any
     other vertex's data. The components are None when two estimated
     eigenvalues coincide within ``distinct_tol``. Bipartiteness, the gap
     count and the labels are read off the report by whoever needs them.
     """
     model = fit_companion(u, s, svd_tol)
-    eigs = local_eigenvalues(model)
-    trace, det = trace_det(model)
+    if model.basis is None:
+        eigs = local_eigenvalues(model)
+        trace, det = trace_det(model)
+    else:
+        eigs, trace, det = pencil_eigenvalues(model), None, None
     try:
         components = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
     except DegenerateSpectrumError:
@@ -284,4 +328,7 @@ def analyze_vertex(
         components=components,
         trace_estimate=trace,
         det_estimate=det,
+        s=s,
+        rank=model.rank,
+        sigma_ratio=model.sigma_ratio,
     )

@@ -117,6 +117,22 @@ class TestLstsqMinNorm:
         x, rank, ratio = self.assert_matches_r_svd(np.zeros((4, 0)), np.ones(4))
         assert x.shape == (0,) and rank == 0 and ratio == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(problem=planted_problems())
+    def test_basis_spans_the_numeric_row_space(self, problem):
+        a, b, _ = problem
+        ab = np.column_stack([a, b])
+        x, rank, ratio, basis = lstsq_min_norm(ab, REL_TOL, basis=True)
+        assert all(np.array_equal(p, q) for p, q in zip((x, rank, ratio),
+                                                        lstsq_min_norm(ab, REL_TOL)))
+        if basis is None:  # substitution: full rank, no vectors computed
+            assert rank == a.shape[1]
+            return
+        vh = np.linalg.svd(a, full_matrices=False)[2][:rank]
+        assert basis.shape == (rank, a.shape[1])
+        assert np.allclose(basis @ basis.conj().T, np.eye(rank), atol=1e-12)
+        assert np.allclose(basis.conj().T @ basis, vh.conj().T @ vh, atol=1e-8)
+
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
     def test_tolerance_must_be_finite_and_positive_on_every_path(self, bad):
         full_rank, deficient = np.eye(3, 4), np.zeros((3, 4))

@@ -66,6 +66,22 @@ class TestLocalEigenvalues:
         pair = eigs[np.isclose(np.abs(eigs), abs(1 + 1j))]
         assert pair[0].imag < pair[1].imag
 
+    def test_moduli_within_the_distinct_tolerance_tie(self):
+        eigs = sort_eigenvalues(np.array([1.0, -(1.0 + 1e-12), 0.5, -(0.5 - 2e-9)]))
+        assert eigs.tolist() == [1.0, -(1.0 + 1e-12), 0.5, -(0.5 - 2e-9)]
+        eigs = sort_eigenvalues(np.array([-(1.0 + 1e-12), 1.0]))
+        assert eigs.tolist() == [1.0, -(1.0 + 1e-12)]
+
+    @pytest.mark.parametrize("steps", [24, 60, 120])
+    def test_estimated_pm_pairs_list_plus_first(self, steps):
+        # an estimated +-lam pair differs in modulus only in the last bits
+        x0 = np.random.default_rng(7).standard_normal(6)
+        u = simulate(bipartite_fixture(), x0, steps).local(1)
+        real = [e.real for e in analyze_vertex(u, 6).eigenvalues if e.imag == 0]
+        assert len(real) == 4
+        assert real[0] > 0 > real[1] and real[2] > 0 > real[3]
+        assert real[1] == pytest.approx(-real[0]) and real[3] == pytest.approx(-real[2])
+
 
 class TestCompanionEigenvector:
     def test_eigenpair_residual(self):
@@ -431,6 +447,29 @@ class TestAnalyzeVertex:
         assert report.to_json_dict()["vertex_components"] == {}
         with pytest.raises(DegenerateSpectrumError):
             local_eigenvector_components(u, report.eigenvalues)
+
+    def test_rank_deficient_fit_reports_the_identified_modes(self):
+        # a geometric series embedded in s = 3 delays: rank 1, one mode
+        u = 3.0 * 0.5 ** np.arange(12)
+        report = analyze_vertex(u, 3, vertex=2)
+        assert (report.s, report.rank) == (3, 1)
+        assert report.eigenvalues == pytest.approx([0.5], abs=1e-12)
+        assert report.components == pytest.approx([3.0], abs=1e-10)
+        assert report.trace_estimate is None and report.det_estimate is None
+        payload = report.to_json_dict()
+        assert payload["trace_estimate"] is None and payload["det_estimate"] is None
+        assert (payload["s"], payload["rank"]) == (3, 1)
+        assert payload["sigma_ratio"] == report.sigma_ratio <= 1e-10
+
+    def test_full_rank_fit_keeps_the_companion_spectrum(self):
+        fix = bipartite_fixture()
+        u = simulate(fix, np.random.default_rng(7).standard_normal(6), 24).local(1)
+        model = fit_companion(u, 6)
+        report = analyze_vertex(u, 6)
+        assert model.rank == report.rank == 6 and model.basis is None
+        assert np.array_equal(report.eigenvalues, local_eigenvalues(model))
+        assert (report.trace_estimate, report.det_estimate) == trace_det(model)
+        assert report.sigma_ratio == model.sigma_ratio > 1e-10
 
     def test_no_component_switch(self):
         # one analysis for every caller: bipartiteness and the gap count are
