@@ -22,9 +22,10 @@ import numpy as np
 # least-squares solve in the package. Near-rank-deficient matrices are
 # exactly the interesting regime, so every caller also accepts an override.
 DEFAULT_RANK_TOL = 1e-10
-# Eigenvalues closer than this are treated as one root: the Vandermonde
-# regression for eigenvector components is rank-deficient below it. Only
-# spectral decides distinctness.
+# Eigenvalues closer than this are one root, the package's one such rule:
+# sort_eigenvalues ties moduli within it, and eigenvector components are
+# refused for a spectrum with two eigenvalues within it, where the
+# Vandermonde regression is rank-deficient. Only spectral decides distinctness.
 DEFAULT_DISTINCT_TOL = 1e-9
 # Real parts with magnitude below this fraction of the vertex's largest
 # |component| resolve to '+' in sign-pattern labels.
@@ -59,16 +60,19 @@ def numeric_rank(sigma: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
-def lstsq_min_norm(ab: np.ndarray, rel_tol: float, *, basis: bool = False) -> tuple:
+def lstsq_min_norm(ab: np.ndarray, rel_tol: float) -> tuple:
     """Minimum-norm least-squares solution of ``a @ x ~= b`` from ``ab = [a | b]``.
 
     ``b`` is the last column; real and complex data of any shape work.
     ``ab`` is QR-factored, and the leading n x n block T of its triangle
     (n = columns of ``a``) has the singular values of ``a``, so the rank cut
     and the solution are those of ``a`` (Chan's R-SVD). Returns ``(x, rank,
-    sigma_ratio)``: ``sigma_ratio`` is the smallest of the n singular values
-    of ``a`` over the largest, so it says how well the data determine x; it
-    is 0 when ``a`` is zero, has no columns, or has fewer rows than columns.
+    sigma_ratio, basis)``: ``sigma_ratio`` is the smallest of the n singular
+    values of ``a`` over the largest, so it says how well the data determine
+    x; it is 0 when ``a`` is zero, has no columns, or has fewer rows than
+    columns. ``basis`` holds the leading ``rank`` right singular vectors of
+    ``a`` as rows, which span its numeric row space, from the SVD of T; it
+    is None when substitution solved T, which computes no vectors.
 
     A square T (at least n rows) of full numeric rank has one solution,
     found by substitution on T; its singular values are computed without
@@ -76,11 +80,6 @@ def lstsq_min_norm(ab: np.ndarray, rel_tol: float, *, basis: bool = False) -> tu
     solution, and at rank 0 its empty products give the zero solution.
     Since sigma_min <= min |t_ii| and sigma_max >= max |t_ii| for a
     triangle, a diagonal that fails the cut goes to the SVD directly.
-
-    With ``basis`` the result gains a fourth entry: the leading ``rank``
-    right singular vectors of ``a`` as rows, which span its numeric row
-    space, from the SVD of T; it is None when substitution solved T, which
-    computes no vectors.
     """
     check_tol(rel_tol, "rank")
     ab = np.asarray(ab)
@@ -93,10 +92,9 @@ def lstsq_min_norm(ab: np.ndarray, rel_tol: float, *, basis: bool = False) -> tu
             s = np.linalg.svd(t, compute_uv=False)
             rank = numeric_rank(s, rel_tol)
             if rank == n:
-                fit = np.linalg.solve(t, c), rank, float(s[-1] / s[0])
-                return (*fit, None) if basis else fit
+                return np.linalg.solve(t, c), rank, float(s[-1] / s[0]), None
     u, s, vh = np.linalg.svd(t, full_matrices=False)
     rank = numeric_rank(s, rel_tol)
     x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ c) / s[:rank])
-    fit = x, rank, float(s[-1] / s[0]) if s.size == n > 0 and s[0] else 0.0
-    return (*fit, vh[:rank]) if basis else fit
+    ratio = float(s[-1] / s[0]) if s.size == n > 0 and s[0] else 0.0
+    return x, rank, ratio, vh[:rank]

@@ -82,8 +82,6 @@ _SHARED_OPTIONS = {
     "--seed": dict(type=int, default=0, help="generator seed"),
     "--tol-rank": dict(type=tolerance, default=DEFAULT_RANK_TOL,
                        help="relative singular-value cutoff for rank decisions"),
-    "--tol-distinct": dict(type=tolerance, default=DEFAULT_DISTINCT_TOL,
-                           help="eigenvalue distinctness tolerance"),
 }
 
 
@@ -173,8 +171,7 @@ def cmd_analyze(args):
     if args.max_k is not None and not args.gap:
         raise ValueError("--max-k caps the cluster count of --gap; pass --gap with it")
     s = args.delays if args.delays is not None else traj.n
-    report = spectral.analyze_vertex(u, s, vertex=args.vertex,
-                                     svd_tol=args.tol_rank, distinct_tol=args.tol_distinct)
+    report = spectral.analyze_vertex(u, s, vertex=args.vertex, svd_tol=args.tol_rank)
     payload = report.to_json_dict()
     if args.gap:
         max_k = (s + 1) // 2 if args.max_k is None else args.max_k
@@ -182,37 +179,34 @@ def cmd_analyze(args):
     return _report(args, args.trajectory, payload)
 
 
-def _analyze(traj, vertices, s, svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+def _analyze(traj, vertices, s, svd_tol=DEFAULT_RANK_TOL):
     """The report of each of ``vertices``, analyzed from its own series in ``traj``."""
-    return {v: spectral.analyze_vertex(traj.local(v), s, vertex=v, svd_tol=svd_tol,
-                                       distinct_tol=distinct_tol)
+    return {v: spectral.analyze_vertex(traj.local(v), s, vertex=v, svd_tol=svd_tol)
             for v in vertices}
 
 
-def _cluster(traj, s, k="auto", svd_tol=DEFAULT_RANK_TOL, distinct_tol=DEFAULT_DISTINCT_TOL):
+def _cluster(traj, s, k="auto", svd_tol=DEFAULT_RANK_TOL):
     """The ``{"cluster_count", "labels"}`` payload, and the per-vertex components and
-    leading real parts of :func:`_analyze` over every vertex.
+    eigenvalues of :func:`_analyze` over every vertex.
 
-    A vertex below full rank identifies only some modes, so the leading real
-    parts are each vertex's largest ones, as many as every vertex identified
-    (all s at full rank). ``k="auto"`` takes the :func:`consensus_cluster_count`
-    of those, capped at half of s as in ``analyze --gap``. Labels need every
-    vertex's components, so a vertex without them is an error."""
-    reports = _analyze(traj, range(1, traj.n + 1), s, svd_tol, distinct_tol)
+    ``k="auto"`` takes the :func:`consensus_cluster_count` of the eigenvalues,
+    over the leading modes that every vertex identified, capped at half of s
+    as in ``analyze --gap``. Labels need every vertex's components, so a
+    vertex without them is an error."""
+    reports = _analyze(traj, range(1, traj.n + 1), s, svd_tol)
     for v, r in reports.items():
         if r.components is None:
             raise spectral.DegenerateSpectrumError(
                 f"vertex {v} has no eigenvector components: two of its estimated "
-                f"eigenvalues coincide within {distinct_tol:g}")
+                f"eigenvalues coincide within {DEFAULT_DISTINCT_TOL:g}")
     comps = {v: r.components for v, r in reports.items()}
-    common = min(r.eigenvalues.size for r in reports.values())
-    leading = {v: np.sort(r.eigenvalues.real)[::-1][:common] for v, r in reports.items()}
+    spectra = {v: r.eigenvalues for v, r in reports.items()}
     if k == "auto":
-        k = spectral.consensus_cluster_count(leading, (s + 1) // 2)
+        k = spectral.consensus_cluster_count(spectra, (s + 1) // 2)
     labels = spectral.decentralized_cluster_labels(comps, k)
     payload = {"cluster_count": k,
                "labels": [{"vertex": v, "cluster": c} for v, c in sorted(labels.items())]}
-    return payload, comps, leading
+    return payload, comps, spectra
 
 
 def cmd_cluster(args):
@@ -221,7 +215,7 @@ def cmd_cluster(args):
     k = args.k if args.k == "auto" else _convert("--k", int, args.k, " or 'auto'")
     if k != "auto" and k < 1:
         raise ValueError(f"--k must be at least 1 or 'auto', got {k}")
-    payload, comps, _ = _cluster(traj, s, k, args.tol_rank, args.tol_distinct)
+    payload, comps, _ = _cluster(traj, s, k, args.tol_rank)
     labels_out = Path(args.out) if args.out else Path("labels.json")
     io.write_json(labels_out, payload)
     comps_out = Path(args.components_out) if args.components_out else labels_out.with_name(
@@ -294,10 +288,10 @@ def _demo_fig2(seed, outdir):
     traj = dynsys.simulate(system, x0, FIG2_STEPS)
     io.save_trajectory(outdir / "trajectory.csv", traj.states)
 
-    payload, comps, leading = _cluster(traj, n)
+    payload, comps, spectra = _cluster(traj, n)
 
     # only the modes that every vertex identified
-    mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(leading)))
+    mu_estimated = np.sort(2.0 * (1.0 - spectral.consensus_spectrum(spectra)))
     mu_true = np.sort(np.linalg.eigvalsh(lap))[: mu_estimated.size]
     io.write_table(outdir / "laplacian_spectrum.csv", ["index", "mu_true", "mu_estimated"],
                    range(1, mu_estimated.size + 1), np.column_stack([mu_true, mu_estimated]))
@@ -403,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delays", type=int, help="embedding length (default: state dimension)")
     p.add_argument("--gap", action="store_true", help="detect cluster count from spectral gaps")
     p.add_argument("--max-k", type=int)
-    _add_shared(p, "--out", "--tol-rank", "--tol-distinct")
+    _add_shared(p, "--out", "--tol-rank")
     p.set_defaults(func=cmd_analyze)
 
     p = add_command("cluster", help="decentralized sign-pattern clustering")
@@ -411,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="auto", help="cluster count, or 'auto' for gap detection")
     p.add_argument("--delays", type=int)
     p.add_argument("--components-out", help="per-vertex component CSV path")
-    _add_shared(p, "--out", "--tol-rank", "--tol-distinct")
+    _add_shared(p, "--out", "--tol-rank")
     p.set_defaults(func=cmd_cluster)
 
     p = add_command("demo", help="figure-reproduction data bundles")

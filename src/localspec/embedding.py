@@ -110,12 +110,10 @@ def fit_companion(
     windows = np.asfortranarray(delay_windows(u / scale, s + 1))  # [design | target]
     rows = np.max(np.abs(windows), axis=1)
     rows[rows == 0.0] = 1.0  # an all-zero row constrains nothing
-    weights, rank, sigma_ratio, basis = lstsq_min_norm(windows / rows[:, None], svd_tol,
-                                                       basis=True)
+    weights, rank, sigma_ratio, basis = lstsq_min_norm(windows / rows[:, None], svd_tol)
     residual = float(np.linalg.norm(windows[:, :s] @ weights - windows[:, s])) * scale
-    return CompanionModel(s=s, weights=weights, residual=residual, scale=scale,
-                          rank=rank, sigma_ratio=sigma_ratio,
-                          basis=basis if 0 < rank < s else None)
+    return CompanionModel(s, weights, residual, scale, rank, sigma_ratio,
+                          basis if 0 < rank < s else None)
 
 
 def exact_companion(sys: LinearSystem) -> CompanionModel:

@@ -252,7 +252,7 @@ def recover_hidden_state(
     rows = r_matrix(sys, vertex)
     a11, _, a21, _ = _split_blocks(sys.a, vertex)
     b = window[1:] - np.convolve(np.r_[a11, rows @ a21], window)[: n - 1]
-    hidden, rank, sigma_ratio = lstsq_min_norm(np.column_stack([rows, b]), rel_tol)
+    hidden, rank, sigma_ratio, _ = lstsq_min_norm(np.column_stack([rows, b]), rel_tol)
     if rank < n - 1:
         report = is_localizable(sys, vertex, rel_tol)
         if report.localizable:

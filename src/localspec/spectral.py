@@ -160,16 +160,14 @@ def is_bipartite_spectrum(eigs: np.ndarray, tol: float = DEFAULT_BIPARTITE_TOL) 
 
 
 def local_eigenvector_components(
-    u: np.ndarray,
-    eigs: np.ndarray,
-    svd_tol: float = DEFAULT_RANK_TOL,
-    distinct_tol: float = DEFAULT_DISTINCT_TOL,
+    u: np.ndarray, eigs: np.ndarray, svd_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Per-mode coefficients c_l = z_l * xi_v[l] of one vertex's trajectory.
 
     Solves the row regression u(k) = sum_l c_l lam_l^k over all observed k
     (a Vandermonde system in the eigenvalues) by minimum-norm least squares.
-    Requires pairwise-distinct eigenvalues, a real series and a spectrum
+    Requires eigenvalues pairwise more than ``DEFAULT_DISTINCT_TOL`` apart
+    (else :class:`DegenerateSpectrumError`), a real series and a spectrum
     closed under conjugation, as ``eigvals`` of a real matrix returns. The
     fit is real: a real eigenvalue gives the column lam^k and a conjugate
     pair the columns sqrt(2) Re lam^k and sqrt(2) Im lam^k of its upper
@@ -177,7 +175,6 @@ def local_eigenvector_components(
     singular values, the rank cut and the minimum-norm solution. Pairs get
     exact conjugate coefficients and real eigenvalues real ones.
     """
-    check_tol(distinct_tol, "distinct")
     u = np.asarray(u).reshape(-1)
     eigs = np.asarray(eigs, dtype=complex).reshape(-1)
     if np.iscomplexobj(u):
@@ -188,12 +185,12 @@ def local_eigenvector_components(
         raise ValueError(
             f"need more observations ({u.shape[0]}) than eigenvalues ({eigs.shape[0]})"
         )
-    close = np.triu(np.abs(eigs[:, None] - eigs) <= distinct_tol, k=1)
+    close = np.triu(np.abs(eigs[:, None] - eigs) <= DEFAULT_DISTINCT_TOL, k=1)
     if close.any():
         i, j = np.argwhere(close)[0]  # first pair in row-major (i, j) order
         raise DegenerateSpectrumError(
             f"eigenvalues {eigs[i]} and {eigs[j]} coincide within "
-            f"{distinct_tol:g}; the Vandermonde system is rank-deficient"
+            f"{DEFAULT_DISTINCT_TOL:g}; the Vandermonde system is rank-deficient"
         )
     partner = np.argmin(np.abs(eigs[:, None] - np.conj(eigs)), axis=1)
     if not np.array_equal(eigs[partner], np.conj(eigs)):
@@ -205,7 +202,7 @@ def local_eigenvector_components(
     ab = np.empty((u.shape[0], eigs.size + 1), order="F")  # [real basis | u]
     ab[:, :r], ab[:, r : r + p], ab[:, r + p : -1] = powers[:r].real.T, pairs.real.T, pairs.imag.T
     ab[:, -1] = u
-    y, _, _ = lstsq_min_norm(ab, svd_tol)
+    y = lstsq_min_norm(ab, svd_tol)[0]
     coeffs = np.empty(eigs.size, dtype=complex)
     coeffs[real] = y[:r]
     coeffs[upper] = (y[r : r + p] - 1j * y[r + p :]) * np.sqrt(0.5)
@@ -246,17 +243,16 @@ def consensus_spectrum(
     artifact modes of individual fits, which scatter vertex by vertex,
     largely cancel. Only the real parts are used: estimated spectra of
     real-spectrum systems carry complex artifact pairs that are not data.
-    A dict is averaged in vertex order.
+    A vertex below full rank identifies only some modes, so each row is cut
+    to the shortest: the leading modes that every vertex identified. A dict
+    is averaged in vertex order.
     """
     if isinstance(spectra, dict):
         spectra = [spectra[v] for v in sorted(spectra)]
     if not spectra:
         raise ValueError("need at least one spectrum estimate")
-    rows = [np.sort(np.asarray(s).real)[::-1] for s in spectra]
-    lengths = {r.shape[0] for r in rows}
-    if len(lengths) != 1:
-        raise ValueError("all spectrum estimates must have equal length")
-    return np.mean(np.vstack(rows), axis=0)
+    common = min(np.size(s) for s in spectra)
+    return np.mean([np.sort(np.asarray(s).real)[::-1][:common] for s in spectra], axis=0)
 
 
 def consensus_cluster_count(
@@ -297,7 +293,6 @@ def analyze_vertex(
     vertex: int = 1,
     *,
     svd_tol: float = DEFAULT_RANK_TOL,
-    distinct_tol: float = DEFAULT_DISTINCT_TOL,
 ) -> SpectralReport:
     """Local pipeline: fit, eigenvalues, trace and determinant, and components.
 
@@ -309,7 +304,7 @@ def analyze_vertex(
 
     ``vertex`` only labels the report; the analysis itself never sees any
     other vertex's data. The components are None when two estimated
-    eigenvalues coincide within ``distinct_tol``. Bipartiteness, the gap
+    eigenvalues coincide within ``DEFAULT_DISTINCT_TOL``. Bipartiteness, the gap
     count and the labels are read off the report by whoever needs them.
     """
     model = fit_companion(u, s, svd_tol)
@@ -319,7 +314,7 @@ def analyze_vertex(
     else:
         eigs, trace, det = pencil_eigenvalues(model), None, None
     try:
-        components = local_eigenvector_components(u, eigs, svd_tol, distinct_tol)
+        components = local_eigenvector_components(u, eigs, svd_tol)
     except DegenerateSpectrumError:
         components = None
     return SpectralReport(

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -40,6 +41,7 @@ from localspec import (
     simulate_coupled,
 )
 from localspec._linalg import singular_values
+from localspec.cli import _cluster
 from localspec.cli import main as cli_main
 from localspec.io import example1_system
 
@@ -214,6 +216,35 @@ def test_08_sbm_cluster_recovery():
     elapsed = time.perf_counter() - start
     ok = successes >= 18 and elapsed < 30.0
     assert report(8, "fig2-cluster-recovery", ok, f"{successes}/20 runs, {elapsed:.1f} s")
+
+
+def partition(labels):
+    """The classes of a {vertex: label} map, as a set of vertex sets."""
+    return {frozenset(v for v in labels if labels[v] == c) for c in labels.values()}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="17 of 20: below full rank a vertex can read two close modes "
+                   "as a complex pair (seed 20, vertex 4), and seeds 12 and 15 fail as "
+                   "in test 08; identifiability per mode is open")
+def test_08_gate_on_the_shipped_cluster_path():
+    # test 08's seeds and gate, through what `cluster` and `demo fig2` run:
+    # the rank-adaptive reports and --k auto capped at (s + 1) // 2 = 8
+    seeds = [s for s in range(40)
+             if is_connected(generate_sbm([5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=s))][:20]
+    successes = 0
+    for seed in seeds:
+        w = generate_sbm([5, 5, 5], 0.7, 0.05, 1.0, 0.2, seed=seed)
+        lap = normalized_laplacian(w)
+        x0 = np.random.default_rng(seed + 555).standard_normal(15)
+        traj = simulate(LinearSystem(np.eye(15) - 0.5 * lap), x0, 150)
+        payload, _, _ = _cluster(traj, 15)
+        # oracle: sign structure of the true 2nd/3rd Laplacian eigenvectors
+        xi = np.linalg.eigh(lap)[1]
+        oracle = {v: tuple(xi[v - 1, 1:3] >= -1e-9) for v in range(1, 16)}
+        labels = {e["vertex"]: e["cluster"] for e in payload["labels"]}
+        successes += payload["cluster_count"] == 3 and partition(labels) == partition(oracle)
+    assert successes >= 18, f"{successes}/20 runs"
 
 
 def quadratic_wave_spectrum(lap, c):

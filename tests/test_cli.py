@@ -66,13 +66,11 @@ class TestOptionSurface:
         assert run("analyze", traj, "--vertex", "1", "--out", rep, "--quiet") == 0
         assert self._parameters(tmp_path / "rep.json.manifest.json") == {
             "command", "trajectory", "vertex", "delays", "gap", "max_k", "out", "tol_rank",
-            "tol_distinct",
         }
         labels = tmp_path / "labels.json"
         assert run("cluster", traj, "--k", "2", "--out", labels, "--quiet") == 0
         assert self._parameters(tmp_path / "labels.json.manifest.json") == {
-            "command", "trajectory", "k", "delays", "components_out", "out",
-            "tol_rank", "tol_distinct",
+            "command", "trajectory", "k", "delays", "components_out", "out", "tol_rank",
         }
         outdir = tmp_path / "fig1"
         assert run("demo", "fig1", "--outdir", outdir, "--quiet") == 0
@@ -92,7 +90,10 @@ class TestOptionSurface:
         # analyze always reports bipartiteness and the components the data determine
         ("analyze", "t.csv", "--no-bipartite", "--quiet"),
         ("analyze", "t.csv", "--no-components", "--quiet"),
+        # coincident eigenvalues are those within DEFAULT_DISTINCT_TOL, not an option
+        ("analyze", "t.csv", "--tol-distinct", "1e-8"),
         ("cluster", "t.csv", "--seed", "3"),
+        ("cluster", "t.csv", "--tol-distinct", "1e-8"),
         ("demo", "fig1", "--out", "x"),
         ("demo", "fig1", "--tol-rank", "1e-8"),
         ("demo", "fig1", "--tol-distinct", "1e-8"),
@@ -109,7 +110,7 @@ class TestOptionSurface:
         commands = next(a for a in build_parser()._actions if a.choices).choices.values()
         options = [a for p in commands for a in p._actions
                    if a.option_strings and a.dest != "help"]
-        assert len(options) == 40
+        assert len(options) == 38
 
 
 class TestParser:
@@ -286,9 +287,7 @@ class TestOptionValues:
     @pytest.mark.parametrize("command, option, value", [
         ("localizability", "--tol-rank", "nan"),
         ("analyze", "--tol-rank", "-1"),
-        ("analyze", "--tol-distinct", "0"),
         ("cluster", "--tol-rank", "inf"),
-        ("cluster", "--tol-distinct", "-inf"),
     ])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command,
                                                   option, value):

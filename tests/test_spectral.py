@@ -32,7 +32,8 @@ from localspec import (
     sort_eigenvalues,
     trace_det,
 )
-from localspec._linalg import singular_values
+from localspec._linalg import DEFAULT_DISTINCT_TOL, singular_values
+from localspec.spectral import consensus_spectrum
 
 
 class TestLocalEigenvalues:
@@ -156,12 +157,19 @@ class TestEigenvectorComponents:
         with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
             local_eigenvector_components(0.5 ** np.arange(8), np.array([0.5]), svd_tol=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
-    def test_distinct_tolerance_must_be_finite_and_positive(self, bad):
-        # unchecked, a NaN or negative tolerance lets the repeated root 1
-        # through and returns [0.5, 0.5]
-        with pytest.raises(ValueError, match="distinct tolerance must be finite and positive"):
-            local_eigenvector_components(np.ones(8), np.array([1.0, 1.0]), distinct_tol=bad)
+    @pytest.mark.parametrize("apart", [0.5, 2.0])
+    def test_one_rule_for_coincident_eigenvalues(self, apart):
+        # a pair `apart` * DEFAULT_DISTINCT_TOL apart, whose moduli differ by
+        # 0.6 of that: at 0.5 it both ties in the order (ascending angle puts
+        # the smaller modulus first) and refuses components; at 2 it does neither
+        pair = apart * DEFAULT_DISTINCT_TOL * np.array([0.2, -0.8])
+        tied = apart < 1.0
+        assert sort_eigenvalues(pair).tolist() == (pair if tied else pair[::-1]).tolist()
+        if tied:
+            with pytest.raises(DegenerateSpectrumError, match="coincide within 1e-09"):
+                local_eigenvector_components(np.ones(8), pair)
+        else:
+            assert np.all(np.isfinite(local_eigenvector_components(np.ones(8), pair)))
 
     def test_matches_eigendecomposition_oracle(self):
         for seed in range(25):
@@ -299,9 +307,12 @@ class TestConsensusClusterCount:
             spectra, max_k=(size + 1) // 2
         )
 
-    def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            consensus_cluster_count([np.ones(3), np.ones(4)], max_k=2)
+    def test_cuts_each_row_to_the_shortest(self):
+        # rows sorted descending by real part, then cut to the shortest
+        spectra = {2: np.array([0.25, 1.0, 0.75]),
+                   1: np.array([0.5 + 0.1j, 0.5 - 0.1j, 0.125, 1.0])}
+        assert consensus_spectrum(spectra).tolist() == [1.0, 0.625, 0.375]
+        assert consensus_cluster_count(spectra, max_k=3) == 1
 
 
 class TestDecentralizedLabels:
@@ -475,7 +486,7 @@ class TestAnalyzeVertex:
         # one analysis for every caller: bipartiteness and the gap count are
         # read off the report, not switched on here
         params = inspect.signature(analyze_vertex).parameters
-        assert list(params) == ["u", "s", "vertex", "svd_tol", "distinct_tol"]
+        assert list(params) == ["u", "s", "vertex", "svd_tol"]
 
     def test_bipartite_fixture_flag(self):
         fix = bipartite_fixture()
